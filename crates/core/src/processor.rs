@@ -10,15 +10,15 @@ use std::fmt;
 use std::sync::Arc;
 
 use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
+use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator, Wake};
 use rtsim_trace::{ActorId, ActorKind, TaskState, TraceRecorder};
 
-use crate::engine::{self, Engine, EngineKind, RtosState, SchedulerStats};
+use crate::engine::{Engine, EngineKind, RtosState, SchedulerStats};
 use crate::overhead::Overheads;
 use crate::policies::PriorityPreemptive;
 use crate::policy::SchedulingPolicy;
 use crate::proc_model::ProcEngine;
-use crate::seg::SegTaskRunner;
+use crate::seg::{drive, SegTaskRunner};
 use crate::task::{Priority, TaskConfig, TaskId};
 use crate::thread_model::ThreadEngine;
 
@@ -201,51 +201,34 @@ impl Processor {
     /// Spawns a task on this processor. The body runs once, from the
     /// task's first dispatch to its destruction; periodic tasks loop
     /// internally using [`TaskCtx::delay`] or communication waits.
+    ///
+    /// The body blocks, so it always runs on a thread-backed kernel
+    /// process; its RTOS calls drive the same [`SegTaskRunner`] a
+    /// scripted task runs on.
     pub fn spawn_task<F>(&self, sim: &mut Simulator, config: TaskConfig, body: F) -> TaskHandle
     where
         F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
     {
-        let task_name = config.name.clone();
-        let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
-        let preempt_event = sim.event(&format!("{}.{}.TaskPreempt", self.name, task_name));
-        let actor = self.recorder.register(&task_name, ActorKind::Task);
-        let id = self
-            .engine
-            .shared()
-            .lock()
-            .add_task(config, run_event, preempt_event, actor);
-        let engine = Arc::clone(&self.engine);
-        let recorder = self.recorder.clone();
-        let name: Arc<str> = Arc::from(task_name.as_str());
-        let handle_name = Arc::clone(&name);
-        sim.spawn(&format!("{}.{}", self.name, task_name), move |ctx| {
-            engine::task_started(engine.as_ref(), ctx, id);
-            {
-                let mut task_ctx = TaskCtx {
-                    engine: Arc::clone(&engine),
-                    me: id,
-                    actor,
-                    name: Arc::clone(&name),
-                    recorder,
-                    kctx: ctx,
-                };
-                body(&mut task_ctx);
-            }
-            engine::terminate(engine.as_ref(), ctx, id);
+        let runner = self.register_seg_task(sim, config);
+        let handle = runner.handle();
+        sim.spawn(&format!("{}.{}", self.name, handle.name()), move |ctx| {
+            let mut task = TaskCtx {
+                runner,
+                kctx: ctx,
+                wake: Wake::Timeout,
+            };
+            task.drive();
+            body(&mut task);
+            task.runner.finish();
+            task.drive();
         });
-        TaskHandle {
-            engine: Arc::clone(&self.engine),
-            id,
-            actor,
-            name: handle_name,
-        }
+        handle
     }
 
-    /// Registers a task for segment-mode execution: run/preempt events,
-    /// trace actor and RTOS entry are created in exactly the same order
-    /// as [`spawn_task`](Processor::spawn_task), but no kernel process is
-    /// spawned — the caller embeds the returned [`SegTaskRunner`] in a
-    /// run-to-completion segment instead (see `rtsim-mcse`).
+    /// Registers a task without spawning a kernel process: run/preempt
+    /// events, trace actor and RTOS entry are created, and the caller
+    /// embeds the returned [`SegTaskRunner`] in a segment process (see
+    /// [`Simulator::spawn_segment`] and `rtsim-mcse`).
     pub fn register_seg_task(&self, sim: &mut Simulator, config: TaskConfig) -> SegTaskRunner {
         let task_name = config.name.clone();
         let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
@@ -339,7 +322,7 @@ impl TaskHandle {
     /// May preempt the task currently running on the target processor.
     /// No-op if the task is already ready, running, or terminated.
     ///
-    /// Callable from either execution mode: `h` is the caller's
+    /// Callable from any simulation process: `h` is the caller's
     /// [`ProcessContext`] or [`rtsim_kernel::SegmentCtx`].
     pub fn wake(&self, h: &mut dyn KernelHandle) {
         self.engine.make_ready(h, self.id);
@@ -407,16 +390,27 @@ impl fmt::Debug for TaskHandle {
 ///   higher-priority activation suspends the task and the remaining time
 ///   is recomputed exactly, the paper's time-accurate preemption);
 /// - [`delay`](TaskCtx::delay) — release the CPU for a fixed span.
+///
+/// Each blocking call feeds one intent to the task's [`SegTaskRunner`]
+/// and advances it on the task's thread until the task is Running again.
 pub struct TaskCtx<'a> {
-    pub(crate) engine: Arc<dyn Engine>,
-    pub(crate) me: TaskId,
-    pub(crate) actor: ActorId,
-    pub(crate) name: Arc<str>,
-    pub(crate) recorder: TraceRecorder,
-    pub(crate) kctx: &'a mut ProcessContext,
+    runner: SegTaskRunner,
+    kctx: &'a mut ProcessContext,
+    /// What ended the last wait, handed to the runner on each advance.
+    wake: Wake,
 }
 
 impl TaskCtx<'_> {
+    /// Advances the runner until it is idle (or finished), blocking on
+    /// each wait it yields.
+    fn drive(&mut self) {
+        drive(self.kctx, &mut self.wake, |ctx| self.runner.advance(ctx));
+    }
+
+    fn engine(&self) -> &dyn Engine {
+        self.runner.handle.engine.as_ref()
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.kctx.now()
@@ -424,58 +418,56 @@ impl TaskCtx<'_> {
 
     /// This task's id.
     pub fn id(&self) -> TaskId {
-        self.me
+        self.runner.handle.id
     }
 
     /// This task's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.runner.name()
     }
 
     /// This task's trace actor.
     pub fn actor(&self) -> ActorId {
-        self.actor
+        self.runner.actor()
     }
 
     /// This task's static priority.
     pub fn priority(&self) -> Priority {
-        self.engine.shared().lock().entry(self.me).config.priority
+        self.runner.handle.priority()
     }
 
     /// A cloneable handle for waking this task from elsewhere.
     pub fn handle(&self) -> TaskHandle {
-        TaskHandle {
-            engine: Arc::clone(&self.engine),
-            id: self.me,
-            actor: self.actor,
-            name: Arc::clone(&self.name),
-        }
+        self.runner.handle()
     }
 
     /// Consumes `d` of CPU time. Preemptible: hardware events or
     /// higher-priority activations suspend the task mid-computation and
     /// the remaining time survives exactly (no clock granularity).
     pub fn execute(&mut self, d: SimDuration) {
-        engine::execute(self.engine.as_ref(), self.kctx, self.me, d);
+        self.runner.execute(d);
+        self.drive();
     }
 
     /// Releases the CPU and sleeps until `d` after the call instant, then
     /// competes for the CPU again.
     pub fn delay(&mut self, d: SimDuration) {
-        engine::delay(self.engine.as_ref(), self.kctx, self.me, d);
+        self.runner.delay(self.kctx.now(), d);
+        self.drive();
     }
 
     /// Blocks until woken via [`TaskHandle::wake`]. Building block for
     /// communication relations; `resource` selects the waiting-for-
     /// resource trace state (mutual exclusion) over plain Waiting.
     pub fn suspend(&mut self, resource: bool) {
-        engine::block(self.engine.as_ref(), self.kctx, self.me, resource);
+        self.runner.suspend(resource);
+        self.drive();
     }
 
     /// Enters a critical region: this task cannot be preempted until the
     /// matching [`unlock_preemption`](TaskCtx::unlock_preemption). Nests.
     pub fn lock_preemption(&mut self) {
-        engine::lock_preemption(self.engine.as_ref(), self.me);
+        self.runner.lock_preemption();
     }
 
     /// Leaves a critical region. If a more urgent task became ready during
@@ -485,13 +477,15 @@ impl TaskCtx<'_> {
     ///
     /// Panics if no region is active.
     pub fn unlock_preemption(&mut self) {
-        engine::unlock_preemption(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.unlock_preemption(self.kctx.now());
+        self.drive();
     }
 
     /// Voluntary preemption point: yields if a preemption is pending (the
     /// paper's "between two RTOS calls" rule).
     pub fn preemption_point(&mut self) {
-        engine::preemption_point(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.preemption_point();
+        self.drive();
     }
 
     /// Forces a scheduling decision now: yields if the policy's best
@@ -499,13 +493,14 @@ impl TaskCtx<'_> {
     /// change priorities without waking anyone (e.g. restoring a
     /// priority-ceiling boost at the end of a critical section).
     pub fn reschedule(&mut self) {
-        engine::reschedule(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.reschedule(self.kctx.now());
+        self.drive();
     }
 
     /// Switches the whole processor's preemptive mode (paper §3.1: the
     /// mode "can be changed during the simulation").
     pub fn set_preemptive(&mut self, preemptive: bool) {
-        self.engine.shared().lock().preemptive = preemptive;
+        self.engine().shared().lock().preemptive = preemptive;
     }
 
     /// Direct access to the kernel process context, for advanced models
@@ -516,27 +511,26 @@ impl TaskCtx<'_> {
 
     /// The recorder this task traces into.
     pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
+        &self.runner.recorder
     }
 
     /// Annotates the trace at the current instant (anchor for TimeLine
     /// measurements).
     pub fn annotate(&mut self, label: &str) {
-        let now = self.kctx.now();
-        self.recorder.annotate(self.actor, now, label);
+        self.runner.annotate(self.kctx.now(), label);
     }
 
     /// This task's current state as known to the RTOS.
     pub fn state(&self) -> TaskState {
-        self.engine.shared().lock().entry(self.me).state
+        self.engine().shared().lock().entry(self.id()).state
     }
 }
 
 impl fmt::Debug for TaskCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaskCtx")
-            .field("task", &self.name)
-            .field("id", &self.me)
+            .field("task", &self.name())
+            .field("id", &self.id())
             .field("now", &self.now())
             .finish()
     }

@@ -24,6 +24,7 @@ use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
+use crate::segment::{SegmentCtx, WaitRequest};
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 
@@ -81,6 +82,15 @@ pub(crate) enum YieldReason {
     Terminated,
     /// The process body panicked with this message.
     Panicked(String),
+}
+
+impl From<WaitRequest> for YieldReason {
+    fn from(request: WaitRequest) -> Self {
+        match request {
+            WaitRequest::Time(d) => YieldReason::WaitTime(d),
+            WaitRequest::Events { events, timeout } => YieldReason::WaitEvents { events, timeout },
+        }
+    }
 }
 
 /// Message sent from a process thread to the kernel at each yield point.
@@ -275,6 +285,26 @@ impl ProcessContext {
     #[inline]
     pub fn cancel(&mut self, event: Event) {
         self.pending.push(NotifyOp::Cancel(event));
+    }
+
+    /// A segment view of this context at the current instant: the same
+    /// clock and notification buffer, with `wake` as the wake cause. A
+    /// thread-backed process drives a segment state machine by calling it
+    /// on this view and passing each yielded request to
+    /// [`wait`](ProcessContext::wait).
+    pub fn segment(&mut self, wake: Wake) -> SegmentCtx<'_> {
+        SegmentCtx {
+            pid: self.pid,
+            now: self.now(),
+            wake,
+            ops: &mut self.pending,
+        }
+    }
+
+    /// Blocks on the wait a segment yielded and returns what ended it —
+    /// the blocking form of [`SegStep::Yield`](crate::SegStep::Yield).
+    pub fn wait(&mut self, request: WaitRequest) -> Wake {
+        self.suspend(request.into())
     }
 
     /// Hands control to the kernel and blocks until resumed.

@@ -27,7 +27,7 @@ use crate::process::{
     describe_panic_payload, spawn_process, NotifyOp, ProcBackend, ProcHandle, ProcState,
     ProcessContext, ProcessId, ResumeMsg, YieldMsg, YieldReason,
 };
-use crate::segment::{SegStep, SegmentCtx, WaitRequest};
+use crate::segment::{SegStep, SegmentCtx};
 use crate::sync::{unbounded, Receiver, Sender};
 use crate::time::SimTime;
 
@@ -471,12 +471,7 @@ impl Kernel {
                         {
                             *body = Some(machine);
                         }
-                        match req {
-                            WaitRequest::Time(d) => YieldReason::WaitTime(d),
-                            WaitRequest::Events { events, timeout } => {
-                                YieldReason::WaitEvents { events, timeout }
-                            }
-                        }
+                        req.into()
                     }
                     Ok(SegStep::Done) => YieldReason::Terminated,
                     Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
