@@ -59,6 +59,7 @@ fn parse_args() -> Result<Option<f64>, String> {
 }
 
 fn main() -> ExitCode {
+    ExecMode::from_env_or_exit();
     let assert_speedup = match parse_args() {
         Ok(threshold) => threshold,
         Err(message) => {

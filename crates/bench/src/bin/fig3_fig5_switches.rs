@@ -54,6 +54,7 @@ fn run(engine: EngineKind) -> (u64, u64, rtsim::Trace) {
 }
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     println!("== Figures 3 & 5: thread switching of the two RTOS models ==\n");
     println!("workload: TaskN computing 400 us, T1 woken by 3 HW interrupts,");
     println!("all RTOS overheads 5 us (save / scheduling / load)\n");

@@ -9,6 +9,7 @@ use rtsim::{EngineKind, Measure, TaskState, TimelineOptions};
 use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let mut report = BenchReport::new("fig6_timeline");
     for engine in [EngineKind::ProcedureCall, EngineKind::DedicatedThread] {
         report.record_samples(

@@ -7,6 +7,7 @@ use rtsim::{EngineKind, LockMode, Priority, SimDuration, TaskState, TimelineOpti
 use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     println!("== Figure 7: SharedVar_1 blocking under four protection modes ==\n");
     println!(
         "{:<22} {:>14} {:>16} {:>14}",

@@ -7,6 +7,7 @@ use rtsim::{EngineKind, LockMode, Statistics};
 use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let mut report = BenchReport::new("fig8_stats");
     report.record_samples(
         "stats/figure6",

@@ -65,6 +65,7 @@ impl Record for PointResult {
 }
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let base = Mpeg2Config {
         frames: scaled(20, 2) as u64,
         engine: EngineKind::ProcedureCall,

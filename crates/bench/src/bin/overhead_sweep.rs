@@ -56,6 +56,7 @@ fn run(overheads: Overheads) -> (String, String, u64) {
 }
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let mut report = BenchReport::new("overhead_sweep");
     println!("== §3.2: fixed overhead sweep (save = sched = load) ==\n");
     println!(

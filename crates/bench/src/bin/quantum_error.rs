@@ -70,6 +70,7 @@ const CONFIGS: [(&str, Option<u64>); 5] = [
 ];
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let samples = scaled(100, 8);
     // One job per sampled interrupt instant: the job draws its offset
     // from its forked stream and measures the reaction error under every

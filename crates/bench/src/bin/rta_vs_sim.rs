@@ -154,6 +154,7 @@ fn trial(ctx: &mut rtsim::JobCtx) -> Trial {
 }
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     let trials = scaled(200, 10);
     let cmp = Campaign::new("rta_vs_sim", 20040216) // DATE 2004 ;-)
         .progress_from_env()

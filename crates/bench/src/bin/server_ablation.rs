@@ -126,6 +126,7 @@ const STRATEGIES: [(&str, u64, u64); 5] = [
 ];
 
 fn main() {
+    rtsim::ExecMode::from_env_or_exit();
     // The load is drawn from the campaign root stream (seed 42, stream
     // 0) so it is shared by every strategy — the ablation varies only
     // the server parameters.

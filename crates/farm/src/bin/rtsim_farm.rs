@@ -144,6 +144,7 @@ fn list() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    rtsim_kernel::ExecMode::from_env_or_exit();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None => {

@@ -176,6 +176,7 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    rtsim_kernel::ExecMode::from_env_or_exit();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut shards = shards_from_env();
     let mut merge = false;

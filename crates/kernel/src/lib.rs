@@ -12,9 +12,11 @@
 //!   single-pending-notification override rules ([`Event`]);
 //! - cooperative processes written as plain closures, backed by OS threads
 //!   under a strict one-runner handoff ([`ProcessContext`]);
-//! - run-to-completion **segment** processes — state machines dispatched
-//!   inline by the scheduler with no backing thread ([`SegmentCtx`],
-//!   selected via [`ExecMode`]) — the paper's approach-B cost profile;
+//! - run-to-completion **segment** processes — state machines
+//!   ([`SegmentCtx`], [`SegStep`]) that [`ExecMode::Segment`] dispatches
+//!   inline by the scheduler with no backing thread (the paper's
+//!   approach-B cost profile) and [`ExecMode::Thread`] runs on a thread
+//!   process that blocks on each yielded wait;
 //! - waits with timeouts ([`ProcessContext::wait_event_for`]), the
 //!   primitive from which the RTOS model builds time-accurate preemption;
 //! - a deterministic scheduler with delta cycles and an event wheel

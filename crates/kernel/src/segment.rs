@@ -12,46 +12,70 @@
 //! [`SegStep::Done`].
 //!
 //! Thread-backed and segment-backed processes coexist in one simulator and
-//! follow the identical scheduling protocol, so a model ported to segments
-//! produces the bit-identical event schedule. [`ExecMode`] is the knob the
-//! higher layers use to choose a backend per simulator.
+//! follow the identical scheduling protocol. A segment process is written
+//! once; the simulator's [`ExecMode`] decides how
+//! [`Simulator::spawn_segment`](crate::Simulator::spawn_segment) backs it —
+//! inline in the scheduler loop, or on an OS thread that performs each
+//! yielded wait as a blocking one. Layers above the kernel never branch on
+//! the mode.
 
 use crate::event::{Event, Wake};
 use crate::process::{NotifyOp, ProcessContext, ProcessId};
 use crate::time::{SimDuration, SimTime};
 
-/// How the higher layers should back simulated processes.
+/// How a simulator backs its segment processes
+/// ([`Simulator::spawn_segment`](crate::Simulator::spawn_segment)).
 ///
 /// This mirrors the paper's two modeling approaches at the substrate
 /// level: `Thread` is the coroutine-style handoff (every process an OS
 /// thread, approach A's cost profile), `Segment` is run-to-completion
 /// dispatch inside the scheduler loop (approach B's cost profile). Both
-/// produce identical simulated behaviour; they differ only in host cost.
+/// run the same state machines and produce identical simulated
+/// behaviour; they differ only in host cost. Blocking closures
+/// ([`Simulator::spawn`](crate::Simulator::spawn)) always get a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Every process body is a blocking closure on its own OS thread.
+    /// Each segment process runs on its own OS thread and blocks on every
+    /// wait it yields.
     #[default]
     Thread,
-    /// Process bodies are run-to-completion state machines dispatched
-    /// inline by the scheduler.
+    /// Segment processes are dispatched inline by the scheduler, with no
+    /// backing thread.
     Segment,
 }
 
 impl ExecMode {
     /// Reads the `RTSIM_EXEC_MODE` environment override (`thread` or
-    /// `segment`, case-insensitive), defaulting to [`ExecMode::Thread`].
+    /// `segment`, case-insensitive), defaulting to [`ExecMode::Thread`]
+    /// when it is unset.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unrecognised value, so a typo never silently runs the
-    /// wrong experiment.
-    pub fn from_env() -> ExecMode {
+    /// Returns a one-line message on any other value, so a typo never
+    /// silently runs the wrong experiment.
+    pub fn from_env() -> Result<ExecMode, String> {
         match std::env::var("RTSIM_EXEC_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("segment") => ExecMode::Segment,
-            Ok(v) if v.eq_ignore_ascii_case("thread") => ExecMode::Thread,
-            Ok(v) => panic!("RTSIM_EXEC_MODE must be `thread` or `segment`, got `{v}`"),
-            Err(_) => ExecMode::Thread,
+            Ok(v) if v.eq_ignore_ascii_case("segment") => Ok(ExecMode::Segment),
+            Ok(v) if v.eq_ignore_ascii_case("thread") => Ok(ExecMode::Thread),
+            Err(std::env::VarError::NotPresent) => Ok(ExecMode::Thread),
+            Ok(v) => Err(format!(
+                "RTSIM_EXEC_MODE must be `thread` or `segment`, got `{v}`"
+            )),
+            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
+                "RTSIM_EXEC_MODE must be `thread` or `segment`, got {v:?}"
+            )),
         }
+    }
+
+    /// [`from_env`](ExecMode::from_env) for binaries: on a malformed value
+    /// prints the message as one line on standard error and exits with
+    /// status 2. Call it at the top of `main`, before any simulator is
+    /// built.
+    pub fn from_env_or_exit() -> ExecMode {
+        ExecMode::from_env().unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 
     /// Stable key used in reports and golden files.

@@ -53,9 +53,8 @@ pub(crate) enum Body {
     /// A blocking closure — runs on a thread-backed kernel process in
     /// every execution mode.
     Closure(FunctionBody),
-    /// A behaviour script (see [`crate::script`]) — interpreted blocking
-    /// in thread mode and as a run-to-completion state machine in
-    /// segment mode, with identical observable behaviour.
+    /// A behaviour script (see [`crate::script`]) — interpreted by a
+    /// segment process, inline or thread-backed per the execution mode.
     Script(Arc<[Instr]>),
 }
 

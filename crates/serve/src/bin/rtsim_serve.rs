@@ -11,6 +11,7 @@
 use rtsim_serve::{start, ServeConfig};
 
 fn main() {
+    rtsim_kernel::ExecMode::from_env_or_exit();
     let config = ServeConfig::from_env();
     let handle = match start(config) {
         Ok(handle) => handle,
