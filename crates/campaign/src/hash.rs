@@ -54,6 +54,15 @@ impl Default for Fnv1a {
     }
 }
 
+/// Hashes formatted text as its UTF-8 bytes, so `write!(hasher, ...)`
+/// feeds the hash without building a `String` first.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,6 +79,16 @@ mod tests {
             h.write(input);
             assert_eq!(h.finish(), expected, "input {input:?}");
         }
+    }
+
+    #[test]
+    fn formatted_writes_hash_their_bytes() {
+        use std::fmt::Write as _;
+        let mut a = Fnv1a::new();
+        write!(a, "foo{}", 42).unwrap();
+        let mut b = Fnv1a::new();
+        b.write(b"foo42");
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

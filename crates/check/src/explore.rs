@@ -28,13 +28,15 @@
 //! deliberately exhaustive (that is what makes golden fingerprints
 //! sound), so the canonical-record stream doubles as a state identity.
 //! Each choice point folds the new trace records into a running FNV-1a
-//! hash (via [`rtsim_trace::canonical_record`], byte-identical to the
-//! whole-trace canonical form) and mixes in the current time, the choice
-//! kind and every candidate's identity token. A hit in the visited set
-//! answers `0` without pushing a frame: the subtree rooted there was
-//! already explored from an identical state, so its sibling orderings
-//! would replay already-visited traces. The `prune` flag turns this off
-//! for brute-force comparison runs (see the pruning property test).
+//! hash — streamed from the borrowed live trace through
+//! [`rtsim_trace::canonical_record_lines`], byte-identical to the
+//! whole-trace canonical form — and mixes in the current time, the
+//! choice kind and every candidate's identity token. A hit in the
+//! visited set answers `0` without pushing a frame: the subtree rooted
+//! there was already explored from an identical state, so its sibling
+//! orderings would replay already-visited traces. The `prune` flag
+//! turns this off for brute-force comparison runs (see the pruning
+//! property test).
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -42,7 +44,8 @@ use std::sync::{Arc, Mutex};
 use rtsim_campaign::Fnv1a;
 use rtsim_kernel::choice::{Candidate, ChoiceKind, ChoicePolicy};
 use rtsim_kernel::{ExecMode, SimTime};
-use rtsim_trace::{canonical, canonical_record, Trace, TraceRecorder};
+use rtsim_mcse::ElaboratedSystem;
+use rtsim_trace::{canonical_lines, canonical_record_lines, Trace, TraceRecorder};
 
 use crate::oracle::Violation;
 use crate::scenarios::CheckScenario;
@@ -235,12 +238,12 @@ impl Shared {
     /// copy — the state hash of "about to decide this choice".
     fn state_hash(&mut self, now: SimTime, kind: ChoiceKind, candidates: &[Candidate]) -> u64 {
         if let Some(rec) = &self.recorder {
-            let trace = rec.snapshot();
-            for r in &trace.records()[self.hashed..] {
-                self.running.write(canonical_record(r).as_bytes());
-                self.running.write(b"\n");
-            }
-            self.hashed = trace.records().len();
+            let (hashed, running) = (self.hashed, &mut self.running);
+            self.hashed = rec.with_trace(|trace| {
+                let records = trace.records();
+                canonical_record_lines(&records[hashed..], |line| running.write(line));
+                records.len()
+            });
         }
         let mut h = self.running;
         h.write(&now.as_ps().to_le_bytes());
@@ -300,12 +303,12 @@ impl ChoicePolicy for PolicyHandle {
 }
 
 /// Runs one scenario replay with the given forced choices and returns
-/// its final trace plus kernel outcome.
+/// the finished system plus kernel outcome.
 fn run_once(
     scenario: &CheckScenario,
     shared: &Arc<Mutex<Shared>>,
     forced: Vec<usize>,
-) -> (Trace, Option<Violation>) {
+) -> (ElaboratedSystem, Option<Violation>) {
     let mut model = (scenario.build)();
     model.exec_mode(ExecMode::Segment);
     let mut system = model.elaborate().expect("check scenario elaborates");
@@ -321,7 +324,7 @@ fn run_once(
         oracle: "kernel",
         message: e.to_string(),
     });
-    (system.trace(), kernel_violation)
+    (system, kernel_violation)
 }
 
 /// Evaluates the scenario's oracles (plus any kernel error) on a trace.
@@ -362,10 +365,12 @@ pub fn explore_with(scenario: &CheckScenario, budget: &Budget, prune: bool) -> E
             break;
         }
         runs += 1;
-        let (trace, kernel_violation) = run_once(scenario, &shared, std::mem::take(&mut forced));
-        let violations = judge(scenario, &trace, kernel_violation);
+        let (system, kernel_violation) = run_once(scenario, &shared, std::mem::take(&mut forced));
         let mut fp = Fnv1a::new();
-        fp.write(canonical(&trace).as_bytes());
+        let violations = system.with_trace(|trace| {
+            canonical_lines(trace, |line| fp.write(line));
+            judge(scenario, trace, kernel_violation)
+        });
         distinct.insert(fp.finish());
         if !violations.is_empty() {
             let s = shared.lock().unwrap();
@@ -421,7 +426,8 @@ pub fn replay(scenario: &CheckScenario, choices: &[usize]) -> (Trace, Vec<Violat
     // cap the branching depth at zero so fresh choice points beyond the
     // prefix fall back to the stable order.
     let shared = Arc::new(Mutex::new(Shared::new(false, 0)));
-    let (trace, kernel_violation) = run_once(scenario, &shared, choices.to_vec());
+    let (system, kernel_violation) = run_once(scenario, &shared, choices.to_vec());
+    let trace = system.trace();
     let violations = judge(scenario, &trace, kernel_violation);
     (trace, violations)
 }

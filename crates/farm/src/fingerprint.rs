@@ -7,11 +7,20 @@
 //! fingerprint is immune to float-formatting differences and identical
 //! across platforms; any behavioural change — one event reordered, one
 //! preemption moved by a picosecond — changes it.
+//!
+//! The hash input is streamed, never materialised: the trace is borrowed
+//! from the system's recorder rather than copied out
+//! ([`ElaboratedSystem::with_trace`]), its canonical lines go straight
+//! into the hasher ([`rtsim_trace::canonical_lines`]), the response
+//! times of every task come from one walk of the trace
+//! ([`Measure::response_times_by_actor`]), and the summary lines are
+//! formatted into the hasher too. The bytes hashed are exactly those of
+//! the canonical text followed by the summary lines.
 
 use std::fmt::Write as _;
 
 use rtsim_mcse::ElaboratedSystem;
-use rtsim_trace::{canonical, ActorKind, Measure};
+use rtsim_trace::{canonical_lines, ActorKind, Measure, TraceData};
 
 // The hasher itself moved down into `rtsim_campaign::hash` so the
 // grid's cache keys and the farm's fingerprints share one primitive;
@@ -56,42 +65,60 @@ impl Fingerprint {
 /// The system must already have been run; the fingerprint covers exactly
 /// what has been recorded so far.
 pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
-    let trace = system.trace();
-    let mut text = canonical(&trace);
+    let mut hasher = Fnv1a::new();
+    let (events, makespan_ps, faults) = system.with_trace(|trace| {
+        canonical_lines(trace, |line| hasher.write(line));
 
-    // Per-task response-time summaries, in actor-index order. All values
-    // are integer picoseconds; the mean uses integer division so no float
-    // ever enters the hash input.
-    let measure = Measure::new(&trace);
-    for actor in trace.actors_of_kind(ActorKind::Task) {
-        let responses = measure.response_times(actor);
-        let (min, mean, max) = if responses.is_empty() {
-            (0, 0, 0)
-        } else {
-            let min = responses.iter().copied().min().unwrap().as_ps();
-            let max = responses.iter().copied().max().unwrap().as_ps();
-            let total: u128 = responses.iter().map(|d| u128::from(d.as_ps())).sum();
-            let mean = (total / responses.len() as u128) as u64;
-            (min, mean, max)
-        };
-        let _ = writeln!(
-            text,
-            "task {} jobs {} response {min} {mean} {max}",
-            actor.index(),
-            responses.len(),
-        );
-    }
+        // Per-task response-time summaries, in actor-index order. All
+        // values are integer picoseconds; the mean uses integer division
+        // so no float ever enters the hash input.
+        let responses = Measure::new(trace).response_times_by_actor();
+        for actor in trace.actors_of_kind(ActorKind::Task) {
+            let responses = &responses[actor.index()];
+            let (min, mean, max) = if responses.is_empty() {
+                (0, 0, 0)
+            } else {
+                let min = responses.iter().copied().min().unwrap().as_ps();
+                let max = responses.iter().copied().max().unwrap().as_ps();
+                let total: u128 = responses.iter().map(|d| u128::from(d.as_ps())).sum();
+                let mean = (total / responses.len() as u128) as u64;
+                (min, mean, max)
+            };
+            let _ = writeln!(
+                hasher,
+                "task {} jobs {} response {min} {mean} {max}",
+                actor.index(),
+                responses.len(),
+            );
+        }
+
+        // The time of the last recorded event, not `system.now()`: the
+        // farm drives runs through `run_until(horizon)`, which leaves the
+        // clock at the hang-guard horizon rather than at the instant
+        // activity ceased.
+        let makespan_ps = trace.horizon().as_ps();
+
+        // Fault records are already hashed through the canonical `F`
+        // lines; the count is carried alongside so a fault-cell drift
+        // report can say "the injection pattern moved", not just "the
+        // hash moved".
+        let faults = trace
+            .records()
+            .iter()
+            .filter(|r| matches!(r.data, TraceData::Fault { .. }))
+            .count() as u64;
+        (trace.records().len() as u64, makespan_ps, faults)
+    });
 
     // Per-processor scheduler counters. processor_names() iterates the
     // declaration order of the model, which is itself deterministic.
     let mut dispatches = 0;
     let mut preemptions = 0;
     let mut deadline_misses = 0;
-    let names: Vec<String> = system.processor_names().map(str::to_owned).collect();
-    for name in &names {
+    for name in system.processor_names() {
         let stats = system.processor_stats(name).expect("declared processor");
         let _ = writeln!(
-            text,
+            hasher,
             "proc {name} {} {} {} {} {}",
             stats.dispatches,
             stats.preemptions,
@@ -103,27 +130,11 @@ pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
         preemptions += stats.preemptions;
         deadline_misses += stats.deadline_misses;
     }
+    let _ = writeln!(hasher, "makespan {makespan_ps}");
 
-    // The time of the last recorded event, not `system.now()`: the farm
-    // drives runs through `run_until(horizon)`, which leaves the clock at
-    // the hang-guard horizon rather than at the instant activity ceased.
-    let makespan_ps = trace.horizon().as_ps();
-    let _ = writeln!(text, "makespan {makespan_ps}");
-
-    // Fault records are already hashed through the canonical `F` lines;
-    // the count is carried alongside so a fault-cell drift report can say
-    // "the injection pattern moved", not just "the hash moved".
-    let faults = trace
-        .records()
-        .iter()
-        .filter(|r| matches!(r.data, rtsim_trace::TraceData::Fault { .. }))
-        .count() as u64;
-
-    let mut hasher = Fnv1a::new();
-    hasher.write(text.as_bytes());
     Fingerprint {
         hash: hasher.finish(),
-        events: trace.records().len() as u64,
+        events,
         makespan_ps,
         dispatches,
         preemptions,

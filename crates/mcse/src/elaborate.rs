@@ -293,6 +293,13 @@ impl ElaboratedSystem {
         self.recorder.snapshot()
     }
 
+    /// Calls `f` with everything recorded so far, borrowed in place
+    /// instead of copied out as [`trace`](ElaboratedSystem::trace) does
+    /// (see [`TraceRecorder::with_trace`]).
+    pub fn with_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
+        self.recorder.with_trace(f)
+    }
+
     /// The live recorder (for custom annotations from testbench code).
     pub fn recorder(&self) -> &TraceRecorder {
         &self.recorder
@@ -304,7 +311,7 @@ impl ElaboratedSystem {
     ///
     /// Panics if `horizon` is zero.
     pub fn statistics(&self, horizon: SimTime) -> Statistics {
-        Statistics::from_trace(&self.trace(), horizon)
+        self.with_trace(|trace| Statistics::from_trace(trace, horizon))
     }
 
     /// Renders the TimeLine chart (Figures 6/7 style).
@@ -313,12 +320,12 @@ impl ElaboratedSystem {
     ///
     /// Panics if the selected window is empty.
     pub fn timeline(&self, options: &TimelineOptions) -> String {
-        rtsim_trace::timeline::render(&self.trace(), options)
+        self.with_trace(|trace| rtsim_trace::timeline::render(trace, options))
     }
 
     /// Verifies the declared timing constraints against the trace so far.
     pub fn verify_constraints(&self) -> ConstraintReport {
-        verify(&self.constraints, &self.trace(), self.now())
+        self.with_trace(|trace| verify(&self.constraints, trace, self.now()))
     }
 
     /// The task handle of a software-mapped function.

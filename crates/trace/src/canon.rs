@@ -26,22 +26,165 @@
 //! record stays exactly one line with space-separated fields. **Changing
 //! this format invalidates every pinned fingerprint** — treat it like a
 //! wire format, not an implementation detail.
+//!
+//! # One renderer, several sinks
+//!
+//! The format is rendered in one place: a private line renderer that
+//! writes each line, newline included, into a reused byte buffer and
+//! hands it to a sink. Integers go through a hand-rolled decimal
+//! writer and enum fields through their `&'static str` keys, so no
+//! `fmt` machinery runs per record. Escaping is byte-wise, which is
+//! UTF-8-safe because the three escaped characters are ASCII and never
+//! occur inside a multi-byte sequence. Every consumer streams through
+//! it:
+//!
+//! - [`canonical_lines`] — the whole trace, line by line (the farm
+//!   fingerprint feeds it straight into its hasher);
+//! - [`canonical_record_lines`] — a run of records without the actor
+//!   table (the explorer folds each new trace suffix into its state
+//!   hash);
+//! - [`canonical`] and [`write_canonical`] — collectors into a `String`
+//!   or a [`fmt::Write`] sink.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-use crate::record::{Record, TraceData};
+use crate::record::{ActorInfo, Record, TraceData};
 use crate::recorder::Trace;
 
-/// Escapes a name or label so it is one whitespace-free token.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            ' ' => out.push_str("\\s"),
-            c => out.push(c),
+/// Appends `v` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends a name or label escaped into one whitespace-free token.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    for &b in s.as_bytes() {
+        match b {
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b' ' => out.extend_from_slice(b"\\s"),
+            b => out.push(b),
+        }
+    }
+}
+
+/// The canonical renderer: the actor lines of `actors`, then one line
+/// per record, each passed to `sink` with its trailing newline.
+fn render<F: FnMut(&[u8])>(actors: &[ActorInfo], records: &[Record], mut sink: F) {
+    let mut line = Vec::with_capacity(64);
+    for (index, info) in actors.iter().enumerate() {
+        line.clear();
+        line.extend_from_slice(b"actor ");
+        push_u64(&mut line, index as u64);
+        line.push(b' ');
+        line.extend_from_slice(info.kind.key().as_bytes());
+        line.push(b' ');
+        push_escaped(&mut line, &info.name);
+        line.push(b'\n');
+        sink(&line);
+    }
+    for r in records {
+        line.clear();
+        push_u64(&mut line, r.at.as_ps());
+        line.push(b' ');
+        push_u64(&mut line, r.seq);
+        line.push(b' ');
+        push_u64(&mut line, r.actor.index() as u64);
+        match &r.data {
+            TraceData::State(s) => {
+                line.extend_from_slice(b" S ");
+                line.extend_from_slice(s.key().as_bytes());
+            }
+            TraceData::Overhead { kind, duration } => {
+                line.extend_from_slice(b" O ");
+                line.extend_from_slice(kind.key().as_bytes());
+                line.push(b' ');
+                push_u64(&mut line, duration.as_ps());
+            }
+            TraceData::Comm { relation, kind } => {
+                line.extend_from_slice(b" C ");
+                push_u64(&mut line, relation.index() as u64);
+                line.push(b' ');
+                line.extend_from_slice(kind.key().as_bytes());
+            }
+            TraceData::QueueDepth { depth, capacity } => {
+                line.extend_from_slice(b" Q ");
+                push_u64(&mut line, *depth as u64);
+                line.push(b'/');
+                push_u64(&mut line, *capacity as u64);
+            }
+            TraceData::ResourceHeld(held) => {
+                line.extend_from_slice(if *held {
+                    b" R acquired"
+                } else {
+                    b" R released"
+                });
+            }
+            TraceData::Annotation(label) => {
+                line.extend_from_slice(b" A ");
+                push_escaped(&mut line, label);
+            }
+            TraceData::Core(core) => {
+                line.extend_from_slice(b" K ");
+                push_u64(&mut line, *core as u64);
+            }
+            TraceData::Fault { kind, magnitude_ps } => {
+                line.extend_from_slice(b" F ");
+                line.extend_from_slice(kind.key().as_bytes());
+                line.push(b' ');
+                push_u64(&mut line, *magnitude_ps);
+            }
+        }
+        line.push(b'\n');
+        sink(&line);
+    }
+}
+
+/// Streams the canonical form of `trace` to `sink`, one line at a time.
+///
+/// Each call receives one complete line, trailing newline included, in
+/// a buffer that is reused for the next line; the concatenation of all
+/// calls is exactly [`canonical`]. Every line is valid UTF-8.
+///
+/// # Examples
+///
+/// ```
+/// use rtsim_campaign::Fnv1a;
+/// use rtsim_kernel::SimTime;
+/// use rtsim_trace::{canonical, canonical_lines, ActorKind, TaskState, TraceRecorder};
+///
+/// let rec = TraceRecorder::new();
+/// let t = rec.register("T", ActorKind::Task);
+/// rec.state(t, SimTime::from_ps(42), TaskState::Running);
+/// let mut streamed = Fnv1a::new();
+/// rec.with_trace(|trace| canonical_lines(trace, |line| streamed.write(line)));
+/// let mut whole = Fnv1a::new();
+/// whole.write(canonical(&rec.snapshot()).as_bytes());
+/// assert_eq!(streamed.finish(), whole.finish());
+/// ```
+pub fn canonical_lines(trace: &Trace, sink: impl FnMut(&[u8])) {
+    render(trace.actors(), trace.records(), sink);
+}
+
+/// Streams the canonical lines of `records` alone — no actor table —
+/// to `sink`, exactly as they appear in [`canonical_lines`] output.
+///
+/// This is the incremental face of the format: a consumer that hashes
+/// records as they are appended (the `rtsim-check` explorer folding a
+/// trace prefix into its visited-state hash) gets the same byte stream
+/// as hashing the record section of [`canonical`] at the end.
+pub fn canonical_record_lines(records: &[Record], sink: impl FnMut(&[u8])) {
+    render(&[], records, sink);
 }
 
 /// Renders the canonical form of `trace` into a string.
@@ -65,73 +208,27 @@ fn escape_into(out: &mut String, s: &str) {
 /// assert_eq!(text, "actor 0 task Function_1\n42 0 0 S running\n");
 /// ```
 pub fn canonical(trace: &Trace) -> String {
-    let mut out = String::new();
-    for (index, info) in trace.actors().iter().enumerate() {
-        let _ = write!(out, "actor {index} {} ", info.kind);
-        escape_into(&mut out, &info.name);
-        out.push('\n');
-    }
-    for r in trace.records() {
-        canonical_record_into(&mut out, r);
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::new();
+    canonical_lines(trace, |line| out.extend_from_slice(line));
+    String::from_utf8(out).expect("byte-wise escaping keeps UTF-8 valid")
 }
 
-/// Renders one record's canonical line (no trailing newline) into `out`.
-/// Shared by [`canonical`] and [`canonical_record`] so the bytes cannot
-/// diverge between the whole-trace and incremental forms.
-fn canonical_record_into(out: &mut String, r: &Record) {
-    let _ = write!(out, "{} {} {} ", r.at.as_ps(), r.seq, r.actor.index());
-    match &r.data {
-        TraceData::State(s) => {
-            let _ = write!(out, "S {s}");
-        }
-        TraceData::Overhead { kind, duration } => {
-            let _ = write!(out, "O {kind} {}", duration.as_ps());
-        }
-        TraceData::Comm { relation, kind } => {
-            let _ = write!(out, "C {} {kind}", relation.index());
-        }
-        TraceData::QueueDepth { depth, capacity } => {
-            let _ = write!(out, "Q {depth}/{capacity}");
-        }
-        TraceData::ResourceHeld(held) => {
-            let _ = write!(out, "R {}", if *held { "acquired" } else { "released" });
-        }
-        TraceData::Annotation(label) => {
-            out.push_str("A ");
-            escape_into(out, label);
-        }
-        TraceData::Core(core) => {
-            let _ = write!(out, "K {core}");
-        }
-        TraceData::Fault { kind, magnitude_ps } => {
-            let _ = write!(out, "F {kind} {magnitude_ps}");
-        }
-    }
-}
-
-/// Renders one record's canonical line, exactly as it would appear in
-/// [`canonical`] output (without the trailing newline).
-///
-/// This is the incremental face of the canonical format: a consumer that
-/// hashes records as they are appended — e.g. the `rtsim-check` explorer
-/// folding a trace prefix into its visited-state hash — gets the same
-/// byte stream as hashing [`canonical`]'s record section at the end.
-pub fn canonical_record(r: &Record) -> String {
-    let mut out = String::new();
-    canonical_record_into(&mut out, r);
-    out
-}
-
-/// Streams the canonical form of `trace` to a [`fmt::Write`] sink.
+/// Streams the canonical form of `trace` to a [`fmt::Write`] sink, one
+/// line per `write_str` call.
 ///
 /// # Errors
 ///
-/// Propagates the sink's formatting errors.
+/// Propagates the sink's first formatting error; no line is written
+/// after it.
 pub fn write_canonical<W: fmt::Write>(trace: &Trace, out: &mut W) -> fmt::Result {
-    out.write_str(&canonical(trace))
+    let mut result = Ok(());
+    canonical_lines(trace, |line| {
+        if result.is_ok() {
+            let line = std::str::from_utf8(line).expect("byte-wise escaping keeps UTF-8 valid");
+            result = out.write_str(line);
+        }
+    });
+    result
 }
 
 #[cfg(test)]
@@ -147,7 +244,12 @@ mod tests {
         let t = rec.register("T one", ActorKind::Task);
         let q = rec.register("Q", ActorKind::Relation);
         rec.state(t, SimTime::from_ps(1), TaskState::Ready);
-        rec.overhead(t, SimTime::from_ps(2), OverheadKind::Scheduling, SimDuration::from_ps(5));
+        rec.overhead(
+            t,
+            SimTime::from_ps(2),
+            OverheadKind::Scheduling,
+            SimDuration::from_ps(5),
+        );
         rec.comm(t, SimTime::from_ps(3), q, CommKind::Write);
         rec.queue_depth(q, SimTime::from_ps(3), 1, 4);
         rec.resource_held(q, SimTime::from_ps(4), true);

@@ -42,9 +42,8 @@ pub mod stats;
 pub mod timeline;
 pub mod vcd;
 
-pub use canon::{canonical, canonical_record, write_canonical};
+pub use canon::{canonical, canonical_lines, canonical_record_lines, write_canonical};
 pub use csv::write_csv;
-pub use vcd::write_vcd;
 pub use measure::{Job, Measure};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
@@ -53,3 +52,4 @@ pub use recorder::{Trace, TraceRecorder};
 pub use robust::RobustnessSummary;
 pub use stats::{DurationSummary, RelationStats, Statistics, TaskStats};
 pub use timeline::TimelineOptions;
+pub use vcd::write_vcd;

@@ -130,31 +130,7 @@ impl<'a> Measure<'a> {
                 _ => None,
             })
             .collect();
-        let mut jobs = Vec::new();
-        for (i, &(at, state)) in seq.iter().enumerate() {
-            let activation = state == TaskState::Ready
-                && matches!(
-                    seq.get(i.wrapping_sub(1)).map(|&(_, s)| s),
-                    None | Some(TaskState::Created | TaskState::Waiting)
-                );
-            if !activation {
-                continue;
-            }
-            let completed = seq[i + 1..].iter().find_map(|&(t, s)| {
-                matches!(s, TaskState::Waiting | TaskState::Terminated).then_some(t)
-            });
-            let started = seq[i + 1..].iter().find_map(|&(t, s)| {
-                (s == TaskState::Running
-                    && completed.is_none_or(|c| t <= c))
-                .then_some(t)
-            });
-            jobs.push(Job {
-                activated: at,
-                started,
-                completed,
-            });
-        }
-        jobs
+        split_jobs(&seq).collect()
     }
 
     /// Per-job response times (activation → completion) of a task.
@@ -166,6 +142,23 @@ impl<'a> Measure<'a> {
             .collect()
     }
 
+    /// [`response_times`](Measure::response_times) of every actor at
+    /// once, indexed by [`ActorId::index`]. One walk of the trace groups
+    /// the state records by actor, where calling `response_times` per
+    /// actor walks the whole trace once per actor.
+    pub fn response_times_by_actor(&self) -> Vec<Vec<SimDuration>> {
+        let mut states = vec![Vec::new(); self.trace.actors().len()];
+        for r in self.trace.records() {
+            if let TraceData::State(s) = r.data {
+                states[r.actor.index()].push((r.at, s));
+            }
+        }
+        states
+            .iter()
+            .map(|seq| split_jobs(seq).filter_map(|j| j.response()).collect())
+            .collect()
+    }
+
     /// Per-job start latencies (activation → first Running), the release
     /// jitter observed by the task's output.
     pub fn start_latencies(&self, actor: ActorId) -> Vec<SimDuration> {
@@ -174,6 +167,33 @@ impl<'a> Measure<'a> {
             .filter_map(|j| j.started.map(|s| s - j.activated))
             .collect()
     }
+}
+
+/// Splits one task's state changes, in trace order, into jobs: the one
+/// definition of a job behind [`Measure::jobs`] and
+/// [`Measure::response_times_by_actor`].
+fn split_jobs(seq: &[(SimTime, TaskState)]) -> impl Iterator<Item = Job> + '_ {
+    seq.iter().enumerate().filter_map(|(i, &(at, state))| {
+        let activation = state == TaskState::Ready
+            && matches!(
+                seq.get(i.wrapping_sub(1)).map(|&(_, s)| s),
+                None | Some(TaskState::Created | TaskState::Waiting)
+            );
+        if !activation {
+            return None;
+        }
+        let completed = seq[i + 1..].iter().find_map(|&(t, s)| {
+            matches!(s, TaskState::Waiting | TaskState::Terminated).then_some(t)
+        });
+        let started = seq[i + 1..].iter().find_map(|&(t, s)| {
+            (s == TaskState::Running && completed.is_none_or(|c| t <= c)).then_some(t)
+        });
+        Some(Job {
+            activated: at,
+            started,
+            completed,
+        })
+    })
 }
 
 /// One activation of a task, as recovered from the trace by
@@ -299,6 +319,41 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].response(), None);
         assert!(m.response_times(t).is_empty());
+    }
+
+    #[test]
+    fn response_times_by_actor_match_per_actor_walks() {
+        let rec = TraceRecorder::new();
+        let a = rec.register("A", ActorKind::Task);
+        let b = rec.register("B", ActorKind::Task);
+        let q = rec.register("Q", ActorKind::Relation);
+        rec.state(a, ps(0), TaskState::Created);
+        rec.state(b, ps(0), TaskState::Created);
+        rec.state(a, ps(0), TaskState::Ready);
+        rec.state(b, ps(0), TaskState::Ready);
+        rec.state(a, ps(0), TaskState::Running);
+        rec.state(a, ps(10), TaskState::Ready); // preempted by B
+        rec.state(b, ps(10), TaskState::Running);
+        rec.state(b, ps(15), TaskState::WaitingResource); // resource wait
+        rec.resource_held(q, ps(15), true);
+        rec.state(a, ps(15), TaskState::Running);
+        rec.state(a, ps(30), TaskState::Waiting); // A's job: response 30
+        rec.resource_held(q, ps(30), false);
+        rec.state(b, ps(30), TaskState::Running);
+        rec.state(b, ps(40), TaskState::Waiting); // B's job: response 40
+        rec.state(a, ps(50), TaskState::Ready);
+        rec.state(a, ps(55), TaskState::Running); // never completes
+        let trace = rec.snapshot();
+        let m = Measure::new(&trace);
+        let all = m.response_times_by_actor();
+        assert_eq!(all.len(), 3);
+        for actor in [a, b, q] {
+            assert_eq!(all[actor.index()], m.response_times(actor));
+        }
+        assert_eq!(all[a.index()], vec![SimDuration::from_ps(30)]);
+        assert_eq!(all[b.index()], vec![SimDuration::from_ps(40)]);
+        assert!(all[q.index()].is_empty());
+        assert_eq!(m.jobs(a).len(), 2); // the incomplete job is still a job
     }
 
     #[test]

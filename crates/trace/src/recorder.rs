@@ -6,12 +6,13 @@ use std::sync::Arc;
 use rtsim_kernel::sync::Mutex;
 use rtsim_kernel::{SimDuration, SimTime};
 
-use crate::record::{ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData};
+use crate::record::{
+    ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData,
+};
 
 #[derive(Default)]
 struct Inner {
-    actors: Vec<ActorInfo>,
-    records: Vec<Record>,
+    trace: Trace,
     seq: u64,
     enabled: bool,
 }
@@ -20,8 +21,9 @@ struct Inner {
 ///
 /// Every layer of the simulation (RTOS engines, communication relations,
 /// user task code) records into the same `TraceRecorder`; afterwards
-/// [`snapshot`](TraceRecorder::snapshot) yields an immutable [`Trace`] for
-/// rendering, statistics and assertions.
+/// [`with_trace`](TraceRecorder::with_trace) lends the recorded [`Trace`]
+/// for reading in place, and [`snapshot`](TraceRecorder::snapshot) copies
+/// it out for rendering, statistics and assertions.
 ///
 /// Recording is thread-safe; because the kernel runs exactly one process at
 /// a time, records are globally ordered by their sequence number.
@@ -71,8 +73,9 @@ impl TraceRecorder {
     /// Registers a traced entity and returns its id.
     pub fn register(&self, name: &str, kind: ActorKind) -> ActorId {
         let mut inner = self.inner.lock();
-        let id = ActorId(u32::try_from(inner.actors.len()).expect("too many actors"));
-        inner.actors.push(ActorInfo {
+        let actors = &mut inner.trace.actors;
+        let id = ActorId(u32::try_from(actors.len()).expect("too many actors"));
+        actors.push(ActorInfo {
             name: name.to_owned(),
             kind,
         });
@@ -86,7 +89,7 @@ impl TraceRecorder {
         }
         let seq = inner.seq;
         inner.seq += 1;
-        inner.records.push(Record {
+        inner.trace.records.push(Record {
             at,
             seq,
             actor,
@@ -101,13 +104,7 @@ impl TraceRecorder {
 
     /// Records the start of an RTOS overhead segment of `kind` lasting
     /// `duration`, attributed to `actor`.
-    pub fn overhead(
-        &self,
-        actor: ActorId,
-        at: SimTime,
-        kind: OverheadKind,
-        duration: SimDuration,
-    ) {
+    pub fn overhead(&self, actor: ActorId, at: SimTime, kind: OverheadKind, duration: SimDuration) {
         self.push(at, actor, TraceData::Overhead { kind, duration });
     }
 
@@ -140,22 +137,46 @@ impl TraceRecorder {
     /// Records an injected fault (or degraded-mode transition) at
     /// `actor`. Only fault-plan runs ever call this, so nominal traces
     /// never carry fault records.
-    pub fn fault(&self, actor: ActorId, at: SimTime, kind: crate::record::FaultKind, magnitude_ps: u64) {
+    pub fn fault(
+        &self,
+        actor: ActorId,
+        at: SimTime,
+        kind: crate::record::FaultKind,
+        magnitude_ps: u64,
+    ) {
         self.push(at, actor, TraceData::Fault { kind, magnitude_ps });
     }
 
     /// Takes an immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
-        let inner = self.inner.lock();
-        Trace {
-            actors: inner.actors.clone(),
-            records: inner.records.clone(),
-        }
+        self.inner.lock().trace.clone()
+    }
+
+    /// Calls `f` with everything recorded so far, borrowed in place
+    /// rather than copied out as [`snapshot`](TraceRecorder::snapshot)
+    /// does.
+    ///
+    /// The recorder stays locked while `f` runs, so `f` must not record
+    /// into this recorder (or any clone of it): that would deadlock.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtsim_kernel::SimTime;
+    /// use rtsim_trace::{ActorKind, TaskState, TraceRecorder};
+    ///
+    /// let rec = TraceRecorder::new();
+    /// let t = rec.register("T", ActorKind::Task);
+    /// rec.state(t, SimTime::ZERO, TaskState::Running);
+    /// assert_eq!(rec.with_trace(|trace| trace.records().len()), 1);
+    /// ```
+    pub fn with_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
+        f(&self.inner.lock().trace)
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.lock().trace.records.len()
     }
 
     /// Returns `true` if nothing has been recorded.
@@ -174,8 +195,8 @@ impl fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("TraceRecorder")
-            .field("actors", &inner.actors.len())
-            .field("records", &inner.records.len())
+            .field("actors", &inner.trace.actors.len())
+            .field("records", &inner.trace.records.len())
             .field("enabled", &inner.enabled)
             .finish()
     }
@@ -183,10 +204,10 @@ impl fmt::Debug for TraceRecorder {
 
 /// An immutable snapshot of a recorded simulation.
 ///
-/// Produced by [`TraceRecorder::snapshot`]; consumed by the TimeLine
-/// renderer, the statistics aggregator, the measurement helpers, and test
-/// assertions.
-#[derive(Debug, Clone, PartialEq)]
+/// Produced by [`TraceRecorder::snapshot`] (or lent by
+/// [`TraceRecorder::with_trace`]); consumed by the TimeLine renderer, the
+/// statistics aggregator, the measurement helpers, and test assertions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     actors: Vec<ActorInfo>,
     records: Vec<Record>,
@@ -344,8 +365,16 @@ mod tests {
             iv,
             vec![
                 (SimTime::from_ps(0), SimTime::from_ps(5), TaskState::Ready),
-                (SimTime::from_ps(5), SimTime::from_ps(15), TaskState::Running),
-                (SimTime::from_ps(15), SimTime::from_ps(20), TaskState::Waiting),
+                (
+                    SimTime::from_ps(5),
+                    SimTime::from_ps(15),
+                    TaskState::Running
+                ),
+                (
+                    SimTime::from_ps(15),
+                    SimTime::from_ps(20),
+                    TaskState::Waiting
+                ),
             ]
         );
     }

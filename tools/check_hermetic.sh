@@ -59,6 +59,12 @@ cargo build --release --offline --workspace --all-targets
 echo "== hermetic check: offline test suite =="
 cargo test -q --offline --workspace
 
+echo "== hermetic check: benchmark build + tests =="
+# The benchmark is a workspace of its own that calls the trace, farm and
+# checker APIs directly, so the workspace build above does not compile
+# it. Its tests cover its arithmetic and smoke-sized workload runs.
+cargo test --release --offline --manifest-path "$repo/perfbench/Cargo.toml"
+
 echo "== hermetic check: regression farm goldens (smoke subset, both exec modes) =="
 # The release build above already produced the farm binary; sweep the
 # smoke matrix (which includes the dual-core smp_partitioned/smp_global
