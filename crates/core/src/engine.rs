@@ -156,15 +156,13 @@ pub(crate) struct RtosState {
     pub in_overhead: bool,
     pub enqueue_counter: u64,
     pub recorder: TraceRecorder,
-    /// The processor's own trace actor (kept for processor-level records
-    /// from future extensions; tasks carry their own actors).
-    #[allow(dead_code)]
-    pub proc_actor: ActorId,
+    /// The ready tasks' policy views, rebuilt in place by every decision
+    /// (see [`RtosState::snapshot`]) so scheduling does not allocate.
+    views: Vec<TaskView>,
     pub stats: SchedulerStats,
 }
 
 impl RtosState {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
         policy: Box<dyn SchedulingPolicy>,
@@ -173,7 +171,6 @@ impl RtosState {
         preemptive: bool,
         cores: usize,
         recorder: TraceRecorder,
-        proc_actor: ActorId,
     ) -> Self {
         assert!(cores >= 1, "a processor needs at least one core");
         assert!(cores <= 64, "affinity masks cover at most 64 cores");
@@ -193,7 +190,7 @@ impl RtosState {
             in_overhead: false,
             enqueue_counter: 0,
             recorder,
-            proc_actor,
+            views: Vec::new(),
             stats: SchedulerStats::default(),
         }
     }
@@ -258,18 +255,20 @@ impl RtosState {
         }
     }
 
-    /// Builds the policy's view of the world: ready tasks in enqueue order
-    /// plus the running task.
-    fn snapshot(&self, now: SimTime) -> (Vec<TaskView>, Option<TaskView>) {
-        let mut ready: Vec<TaskView> = self
-            .ready
-            .iter()
-            .map(|&id| self.entry(id).view(id))
-            .collect();
-        ready.sort_by_key(|t| t.enqueue_seq);
-        let running = self.running.map(|id| self.entry(id).view(id));
-        let _ = now;
-        (ready, running)
+    /// Builds the policy's view of the world: fills [`RtosState::views`]
+    /// with the ready tasks admitted by `admit`, in enqueue order, and
+    /// returns the running task's view.
+    fn snapshot(&mut self, admit: impl Fn(&TaskEntry) -> bool) -> Option<TaskView> {
+        let tasks = &self.tasks;
+        self.views.clear();
+        self.views.extend(self.ready.iter().filter_map(|&id| {
+            let entry = &tasks[id.index()];
+            admit(entry).then(|| entry.view(id))
+        }));
+        // Enqueue sequence numbers are unique, so an unstable sort gives
+        // the same enqueue order, in place.
+        self.views.sort_unstable_by_key(|t| t.enqueue_seq);
+        self.running.map(|id| tasks[id.index()].view(id))
     }
 
     /// Records and applies a task state change. Completing a job (entering
@@ -317,10 +316,10 @@ impl RtosState {
         if self.ready.is_empty() {
             return None;
         }
-        let (ready, running) = self.snapshot(now);
+        let running = self.snapshot(|_| true);
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.views,
             running: running.as_ref(),
         };
         let choice = self.policy.select(&view)?;
@@ -349,10 +348,10 @@ impl RtosState {
         if self.running.is_none() {
             return false;
         }
-        let (ready, running_view) = self.snapshot(now);
+        let running_view = self.snapshot(|_| true);
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.views,
             running: running_view.as_ref(),
         };
         let cand_view = self.entry(candidate).view(candidate);
@@ -362,11 +361,11 @@ impl RtosState {
 
     /// The policy's time slice for `id`, minus what it already consumed
     /// since dispatch.
-    pub fn remaining_slice(&self, id: TaskId, now: SimTime) -> Option<SimDuration> {
-        let (ready, running) = self.snapshot(now);
+    pub fn remaining_slice(&mut self, id: TaskId, now: SimTime) -> Option<SimDuration> {
+        let running = self.snapshot(|_| true);
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.views,
             running: running.as_ref(),
         };
         let entry = self.entry(id);
@@ -441,40 +440,31 @@ impl RtosState {
     ///
     /// Panics if the policy returns a task that was not offered.
     fn smp_select(&mut self, now: SimTime) -> Option<(TaskId, usize)> {
-        let idle: Vec<usize> = (0..self.cores)
+        let idle = (0..self.cores)
             .filter(|&c| self.core_slots[c] == CoreSlot::Idle)
-            .collect();
-        if idle.is_empty() {
+            .fold(0u64, |mask, c| mask | 1 << c);
+        if idle == 0 {
             return None;
         }
-        let mut ready: Vec<TaskView> = self
-            .ready
-            .iter()
-            .filter(|&&id| idle.iter().any(|&c| self.affinity_allows(id, c)))
-            .map(|&id| self.entry(id).view(id))
-            .collect();
-        if ready.is_empty() {
+        self.snapshot(|entry| entry.config.affinity & idle != 0);
+        if self.views.is_empty() {
             return None;
         }
-        ready.sort_by_key(|t| t.enqueue_seq);
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.views,
             running: None,
         };
         let choice = self.policy.select(&view)?;
         assert!(
-            ready.iter().any(|t| t.id == choice),
+            self.views.iter().any(|t| t.id == choice),
             "policy `{}` selected {choice}, which was not offered",
             self.policy.name()
         );
+        let eligible = idle & self.entry(choice).config.affinity;
         let core = match self.entry(choice).last_core {
-            Some(c) if idle.contains(&c) && self.affinity_allows(choice, c) => c,
-            _ => idle
-                .iter()
-                .copied()
-                .find(|&c| self.affinity_allows(choice, c))
-                .expect("offered task has an eligible idle core"),
+            Some(c) if eligible & 1 << c != 0 => c,
+            _ => eligible.trailing_zeros() as usize,
         };
         Some((choice, core))
     }
@@ -484,7 +474,7 @@ impl RtosState {
     /// task's own coroutine will consume in `acquire` — scheduling (when
     /// the dispatch itself ran the scheduler), migration (when `core`
     /// differs from the task's last core), then context load. Returns the
-    /// run event to notify after the lock is dropped.
+    /// run event to notify.
     fn smp_dispatch(
         &mut self,
         id: TaskId,
@@ -520,9 +510,11 @@ impl RtosState {
     /// each awakened task consume a scheduling overhead (idle dispatches
     /// and wake-ups run the scheduler; the tail of a relinquish does not,
     /// because the relinquisher already paid for that scheduler pass).
-    /// Returns the run events to notify once the state lock is dropped.
-    pub fn smp_fill_idle(&mut self, now: SimTime, charge_sched: bool) -> Vec<Event> {
-        let mut events = Vec::new();
+    /// Each dispatched task's run event is notified through `h` right
+    /// away: [`KernelHandle::notify`] only buffers the notification until
+    /// the caller yields, so issuing it under the state lock is safe.
+    pub fn smp_fill_idle(&mut self, h: &mut dyn KernelHandle, charge_sched: bool) {
+        let now = h.now();
         loop {
             let wake_sched = if charge_sched {
                 Some(self.overheads.scheduling.eval(&self.rtos_view(now)))
@@ -532,9 +524,8 @@ impl RtosState {
             let Some((task, core)) = self.smp_select(now) else {
                 break;
             };
-            events.push(self.smp_dispatch(task, core, now, wake_sched));
+            h.notify(self.smp_dispatch(task, core, now, wake_sched));
         }
-        events
     }
 
     /// SMP preemption: among the cores `candidate` may run on, finds the
@@ -547,7 +538,7 @@ impl RtosState {
             return None;
         }
         let cand_view = self.entry(candidate).view(candidate);
-        let (ready, _) = self.snapshot(now);
+        self.snapshot(|_| true);
         let mut victim: Option<TaskView> = None;
         for core in 0..self.cores {
             let CoreSlot::Busy(running) = self.core_slots[core] else {
@@ -559,7 +550,7 @@ impl RtosState {
             let run_view = self.entry(running).view(running);
             let view = PolicyView {
                 now,
-                ready: &ready,
+                ready: &self.views,
                 running: Some(&run_view),
             };
             if !self.policy.should_preempt(&view, &cand_view, &run_view) {
@@ -690,40 +681,21 @@ pub(crate) fn take_preempt_pending(engine: &dyn Engine, me: TaskId) -> bool {
 /// core on SMP (where only ready tasks whose affinity admits that core
 /// compete for it).
 fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool {
-    if st.cores > 1 {
+    let running = if st.cores > 1 {
         let Some(core) = st.entry(me).core else {
             return false;
         };
-        let mut ready: Vec<TaskView> = st
-            .ready
-            .iter()
-            .filter(|&&id| st.affinity_allows(id, core))
-            .map(|&id| st.entry(id).view(id))
-            .collect();
-        if ready.is_empty() {
+        st.snapshot(|entry| entry.config.affinity & 1 << core != 0);
+        if st.views.is_empty() {
             return false;
         }
-        ready.sort_by_key(|t| t.enqueue_seq);
-        let run_view = st.entry(me).view(me);
-        let view = PolicyView {
-            now,
-            ready: &ready,
-            running: Some(&run_view),
-        };
-        let Some(best) = st.policy.select(&view) else {
-            return false;
-        };
-        let cand = ready
-            .iter()
-            .find(|t| t.id == best)
-            .copied()
-            .expect("policy selected a non-ready task");
-        return st.policy.should_preempt(&view, &cand, &run_view);
-    }
-    let (ready, running) = st.snapshot(now);
+        Some(st.entry(me).view(me))
+    } else {
+        st.snapshot(|_| true)
+    };
     let view = PolicyView {
         now,
-        ready: &ready,
+        ready: &st.views,
         running: running.as_ref(),
     };
     let Some(best) = st.policy.select(&view) else {
@@ -732,7 +704,8 @@ fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool
     let Some(run_view) = running.as_ref() else {
         return false;
     };
-    let cand = ready
+    let cand = st
+        .views
         .iter()
         .find(|t| t.id == best)
         .copied()

@@ -184,7 +184,6 @@ impl Processor {
             config.preemptive,
             config.cores,
             recorder.clone(),
-            actor,
         )));
         let engine: Arc<dyn Engine> = match config.engine {
             EngineKind::ProcedureCall => ProcEngine::new(sim, state),

@@ -18,8 +18,6 @@
 //!
 //! The runners deliberately know nothing about what the task computes.
 
-use std::sync::Arc;
-
 use rtsim_kernel::{
     ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
 };
@@ -48,8 +46,9 @@ pub enum SegControl {
 enum Frame {
     /// First activation: record Creation, go ready, wait for dispatch.
     Start,
-    /// Waiting for the CPU grant + consuming wake-time overheads.
-    Acquire(AcqStage),
+    /// Waiting for the CPU grant (`None`), then consuming the wake-time
+    /// overheads still pending, one wait each (see [`WAKE_OVERHEADS`]).
+    Acquire(Option<[Option<SimDuration>; 3]>),
     /// One give-up of the CPU, driven phase by phase through
     /// [`Engine::relinquish_step`].
     Relinquish {
@@ -69,22 +68,13 @@ enum Frame {
     Delay { wake_at: SimTime, slept: bool },
 }
 
-/// Progress through the acquire protocol.
-enum AcqStage {
-    /// Check/await the CPU grant.
-    Poll,
-    /// The wake-time scheduling overhead wait is in flight; migration
-    /// (SMP) and context load (if any) follow.
-    Sched {
-        migration: Option<SimDuration>,
-        load: Option<SimDuration>,
-    },
-    /// The wake-time migration overhead wait is in flight (SMP only);
-    /// the context load (if any) follows.
-    Migration { load: Option<SimDuration> },
-    /// The wake-time context-load wait is in flight.
-    Load,
-}
+/// The wake-time overheads an acquisition consumes, in order: scheduling
+/// (when the dispatch ran the scheduler), migration (SMP), context load.
+const WAKE_OVERHEADS: [OverheadKind; 3] = [
+    OverheadKind::Scheduling,
+    OverheadKind::Migration,
+    OverheadKind::ContextLoad,
+];
 
 /// Outcome of stepping one frame.
 enum FrameStep {
@@ -92,22 +82,22 @@ enum FrameStep {
     Yield(WaitRequest),
     /// The frame completed.
     Pop,
-    /// Keep this frame and run `children` first (last entry on top).
-    Push(Vec<Frame>),
-    /// Replace this frame by `children` (last entry on top).
-    Replace(Vec<Frame>),
+    /// Keep this frame, but first give the CPU up (requeued as Ready)
+    /// and acquire it again.
+    GiveUpCpu,
+    /// Replace this frame by a fresh CPU acquisition.
+    Acquire,
 }
 
-/// The relinquish + re-acquire pair every yield of the CPU goes through.
-fn resume_frames(next_state: TaskState, requeue: bool) -> Vec<Frame> {
-    vec![
-        Frame::Acquire(AcqStage::Poll),
-        Frame::Relinquish {
-            next_state,
-            requeue,
-            phase: 0,
-        },
-    ]
+/// Pushes the relinquish + re-acquire pair every yield of the CPU goes
+/// through (the relinquish on top, so it runs first).
+fn push_resume(stack: &mut Vec<Frame>, next_state: TaskState, requeue: bool) {
+    stack.push(Frame::Acquire(None));
+    stack.push(Frame::Relinquish {
+        next_state,
+        requeue,
+        phase: 0,
+    });
 }
 
 fn step_start(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
@@ -117,12 +107,40 @@ fn step_start(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> Fram
         st.set_task_state(me, now, TaskState::Created);
     }
     engine.make_ready(ctx, me);
-    FrameStep::Replace(vec![Frame::Acquire(AcqStage::Poll)])
+    FrameStep::Acquire
 }
 
-fn acquire_finish(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
+/// Awaits the CPU grant, then consumes the wake-time overheads one wait
+/// at a time.
+fn step_acquire(
+    engine: &dyn Engine,
+    me: TaskId,
+    ctx: &mut SegmentCtx<'_>,
+    overheads: &mut Option<[Option<SimDuration>; 3]>,
+) -> FrameStep {
     let mut st = engine.shared().lock();
+    let pending = match overheads {
+        Some(pending) => pending,
+        None => {
+            let entry = st.entry_mut(me);
+            if !entry.run_granted {
+                return FrameStep::Yield(WaitRequest::event(entry.run_event));
+            }
+            entry.run_granted = false;
+            overheads.insert([
+                entry.wake_sched.take(),
+                entry.wake_migration.take(),
+                entry.wake_load.take(),
+            ])
+        }
+    };
     let now = ctx.now();
+    for (slot, kind) in pending.iter_mut().zip(WAKE_OVERHEADS) {
+        if let Some(d) = slot.take() {
+            st.record_overhead(me, now, kind, d);
+            return FrameStep::Yield(WaitRequest::time(d));
+        }
+    }
     st.note_core(me, now);
     st.set_task_state(me, now, TaskState::Running);
     let entry = st.entry_mut(me);
@@ -131,97 +149,6 @@ fn acquire_finish(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> 
         entry.last_core = Some(core);
     }
     FrameStep::Pop
-}
-
-fn step_acquire(
-    engine: &dyn Engine,
-    me: TaskId,
-    ctx: &mut SegmentCtx<'_>,
-    stage: &mut AcqStage,
-) -> FrameStep {
-    match stage {
-        AcqStage::Poll => {
-            let wait_on = {
-                let mut st = engine.shared().lock();
-                if st.entry(me).run_granted {
-                    st.entry_mut(me).run_granted = false;
-                    None
-                } else {
-                    Some(st.entry(me).run_event)
-                }
-            };
-            if let Some(ev) = wait_on {
-                return FrameStep::Yield(WaitRequest::event(ev));
-            }
-            let (sched, migration, load) = {
-                let mut st = engine.shared().lock();
-                let entry = st.entry_mut(me);
-                (
-                    entry.wake_sched.take(),
-                    entry.wake_migration.take(),
-                    entry.wake_load.take(),
-                )
-            };
-            if let Some(d) = sched {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Scheduling, d);
-                *stage = AcqStage::Sched { migration, load };
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            if let Some(d) = migration {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Migration, d);
-                *stage = AcqStage::Migration { load };
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            if let Some(d) = load {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
-                *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            acquire_finish(engine, me, ctx)
-        }
-        AcqStage::Sched { migration, load } => {
-            let migration = migration.take();
-            let load = load.take();
-            if let Some(d) = migration {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Migration, d);
-                *stage = AcqStage::Migration { load };
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            if let Some(d) = load {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
-                *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            acquire_finish(engine, me, ctx)
-        }
-        AcqStage::Migration { load } => {
-            if let Some(d) = load.take() {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
-                *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
-            }
-            acquire_finish(engine, me, ctx)
-        }
-        AcqStage::Load => acquire_finish(engine, me, ctx),
-    }
 }
 
 fn step_relinquish(
@@ -248,50 +175,41 @@ fn step_execute(
     remaining: &mut SimDuration,
     started: &mut Option<SimTime>,
 ) -> FrameStep {
+    let mut st = engine.shared().lock();
+    let now = ctx.now();
     if let Some(s) = started.take() {
         // A computation wait just ended: account the elapsed time exactly
         // (the paper's time-accurate preemption), then classify the wake.
-        let elapsed = ctx.now() - s;
-        *remaining = remaining.saturating_sub(elapsed);
+        *remaining = remaining.saturating_sub(now - s);
         match ctx.wake() {
             Wake::Event(_) => {
                 // Preempted: the remaining time survives for the resume.
-                engine.shared().lock().entry_mut(me).preempt_pending = false;
-                return FrameStep::Push(resume_frames(TaskState::Ready, true));
+                st.entry_mut(me).preempt_pending = false;
+                return FrameStep::GiveUpCpu;
             }
             Wake::Timeout => {
                 if remaining.is_zero() {
                     return FrameStep::Pop;
                 }
-                if engine.shared().lock().preemption_granularity.is_none() {
+                if st.preemption_granularity.is_none() {
                     // Quantum expired with work left: rotate to the back.
-                    engine.shared().lock().stats.quantum_expirations += 1;
-                    return FrameStep::Push(resume_frames(TaskState::Ready, true));
+                    st.stats.quantum_expirations += 1;
+                    return FrameStep::GiveUpCpu;
                 }
                 // Chunk boundary of the clock-driven baseline: fall
                 // through to re-check the preemption flags.
             }
         }
     }
-    let (preempt_now, slice, preempt_ev, granularity) = {
-        let mut st = engine.shared().lock();
-        let pending = st.entry(me).preempt_pending;
-        if pending {
-            st.entry_mut(me).preempt_pending = false;
-        }
-        (
-            pending,
-            st.remaining_slice(me, ctx.now()),
-            st.entry(me).preempt_event,
-            st.preemption_granularity,
-        )
-    };
-    if preempt_now {
-        return FrameStep::Push(resume_frames(TaskState::Ready, true));
+    let entry = st.entry_mut(me);
+    let preempt_ev = entry.preempt_event;
+    if std::mem::take(&mut entry.preempt_pending) {
+        return FrameStep::GiveUpCpu;
     }
     if remaining.is_zero() {
         return FrameStep::Pop;
     }
+    let slice = st.remaining_slice(me, now);
     if slice == Some(SimDuration::ZERO) {
         // The quantum is already exhausted — e.g. a fresh execute right
         // after one that consumed the slice exactly. Rotate synchronously
@@ -299,15 +217,15 @@ fn step_execute(
         // yield the timer would introduce lets same-instant events
         // interleave with the rotation, and under a preemption
         // granularity it never advances time at all.
-        engine.shared().lock().stats.quantum_expirations += 1;
-        return FrameStep::Push(resume_frames(TaskState::Ready, true));
+        st.stats.quantum_expirations += 1;
+        return FrameStep::GiveUpCpu;
     }
     let bound = match slice {
         Some(s) => s.min(*remaining),
         None => *remaining,
     };
-    *started = Some(ctx.now());
-    match granularity {
+    *started = Some(now);
+    match st.preemption_granularity {
         None => FrameStep::Yield(WaitRequest::event_for(preempt_ev, bound)),
         Some(quantum) => FrameStep::Yield(WaitRequest::time(quantum.min(bound))),
     }
@@ -328,7 +246,7 @@ fn step_delay(
         }
     }
     engine.make_ready(ctx, me);
-    FrameStep::Replace(vec![Frame::Acquire(AcqStage::Poll)])
+    FrameStep::Acquire
 }
 
 /// Advances a runner from a thread-backed process: calls `advance` on a
@@ -370,6 +288,8 @@ impl SegTaskRunner {
     /// Runs frames until one suspends, the stack drains while the task is
     /// Running (feed an intent), or the task has terminated.
     pub fn advance(&mut self, ctx: &mut SegmentCtx<'_>) -> SegControl {
+        let engine = self.handle.engine.as_ref();
+        let me = self.handle.id;
         loop {
             let Some(mut frame) = self.stack.pop() else {
                 return if self.done {
@@ -378,22 +298,18 @@ impl SegTaskRunner {
                     SegControl::Idle
                 };
             };
-            let engine = Arc::clone(&self.handle.engine);
-            let me = self.handle.id;
             let step = match &mut frame {
-                Frame::Start => step_start(engine.as_ref(), me, ctx),
-                Frame::Acquire(stage) => step_acquire(engine.as_ref(), me, ctx, stage),
+                Frame::Start => step_start(engine, me, ctx),
+                Frame::Acquire(overheads) => step_acquire(engine, me, ctx, overheads),
                 Frame::Relinquish {
                     next_state,
                     requeue,
                     phase,
-                } => step_relinquish(engine.as_ref(), me, ctx, *next_state, *requeue, phase),
+                } => step_relinquish(engine, me, ctx, *next_state, *requeue, phase),
                 Frame::Execute { remaining, started } => {
-                    step_execute(engine.as_ref(), me, ctx, remaining, started)
+                    step_execute(engine, me, ctx, remaining, started)
                 }
-                Frame::Delay { wake_at, slept } => {
-                    step_delay(engine.as_ref(), me, ctx, *wake_at, slept)
-                }
+                Frame::Delay { wake_at, slept } => step_delay(engine, me, ctx, *wake_at, slept),
             };
             match step {
                 FrameStep::Yield(req) => {
@@ -401,13 +317,11 @@ impl SegTaskRunner {
                     return SegControl::Yield(req);
                 }
                 FrameStep::Pop => {}
-                FrameStep::Push(children) => {
+                FrameStep::GiveUpCpu => {
                     self.stack.push(frame);
-                    self.stack.extend(children);
+                    push_resume(&mut self.stack, TaskState::Ready, true);
                 }
-                FrameStep::Replace(children) => {
-                    self.stack.extend(children);
-                }
+                FrameStep::Acquire => self.stack.push(Frame::Acquire(None)),
             }
         }
     }
@@ -445,7 +359,7 @@ impl SegTaskRunner {
             TaskState::Waiting
         };
         debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
-        self.stack.extend(resume_frames(state, false));
+        push_resume(&mut self.stack, state, false);
     }
 
     /// Intent: terminate the task. After the final relinquish completes,
@@ -497,7 +411,7 @@ impl SegTaskRunner {
 
     fn push_intent_pair(&mut self) {
         debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
-        self.stack.extend(resume_frames(TaskState::Ready, true));
+        push_resume(&mut self.stack, TaskState::Ready, true);
     }
 
     /// A cloneable handle for waking this task from elsewhere.
@@ -526,10 +440,9 @@ impl SegTaskRunner {
     pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
         SegAgent {
             ctx,
-            waiter: Waiter::Task(self.handle.clone()),
+            owner: Owner::Task(&self.handle),
             actor: self.handle.actor,
             recorder: &self.recorder,
-            lock_target: Some((Arc::clone(&self.handle.engine), self.handle.id)),
         }
     }
 }
@@ -686,10 +599,9 @@ impl SegHwRunner {
     pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
         SegAgent {
             ctx,
-            waiter: Waiter::Hw(self.waker.clone()),
+            owner: Owner::Hw(&self.waker),
             actor: self.actor,
             recorder: &self.recorder,
-            lock_target: None,
         }
     }
 }
@@ -713,10 +625,16 @@ impl std::fmt::Debug for SegHwRunner {
 /// those are intents fed between attempts.
 pub struct SegAgent<'r, 'c, 'a> {
     ctx: &'c mut SegmentCtx<'a>,
-    waiter: Waiter,
+    owner: Owner<'r>,
     actor: ActorId,
     recorder: &'r TraceRecorder,
-    lock_target: Option<(Arc<dyn Engine>, TaskId)>,
+}
+
+/// The runner a [`SegAgent`] speaks for, borrowed: a [`Waiter`] is only
+/// cloned out of it when a relation actually registers one.
+enum Owner<'r> {
+    Task(&'r TaskHandle),
+    Hw(&'r HwWaker),
 }
 
 impl Agent for SegAgent<'_, '_, '_> {
@@ -737,7 +655,10 @@ impl Agent for SegAgent<'_, '_, '_> {
     }
 
     fn waiter(&self) -> Waiter {
-        self.waiter.clone()
+        match self.owner {
+            Owner::Task(handle) => Waiter::Task(handle.clone()),
+            Owner::Hw(waker) => Waiter::Hw(waker.clone()),
+        }
     }
 
     fn trace_actor(&self) -> ActorId {
@@ -753,19 +674,19 @@ impl Agent for SegAgent<'_, '_, '_> {
     }
 
     fn lock_preemption(&mut self) {
-        if let Some((engine, me)) = &self.lock_target {
-            engine::lock_preemption(engine.as_ref(), *me);
+        if let Owner::Task(handle) = self.owner {
+            engine::lock_preemption(handle.engine.as_ref(), handle.id);
         }
     }
 
     fn unlock_preemption(&mut self) {
-        if self.lock_target.is_some() {
+        if let Owner::Task(_) = self.owner {
             panic!("blocking Agent::unlock_preemption on a run-to-completion segment");
         }
     }
 
     fn reschedule(&mut self) {
-        if self.lock_target.is_some() {
+        if let Owner::Task(_) = self.owner {
             panic!("blocking Agent::reschedule on a run-to-completion segment");
         }
     }

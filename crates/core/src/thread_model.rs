@@ -151,25 +151,18 @@ enum RtosPhase {
 
 /// Applies a `TaskIsReady` notification (no simulated time passes).
 fn apply_ready(shared: &Mutex<RtosState>, h: &mut dyn KernelHandle, target: TaskId) {
-    let notify = {
-        let mut st = shared.lock();
-        let now = h.now();
-        match st.entry(target).state {
-            TaskState::Ready | TaskState::Running | TaskState::Terminated => return,
-            _ => {}
-        }
-        st.enqueue_ready(target, now, true);
-        if st.running.is_some() && st.preemption_check(target, now) {
-            let running = st.running.expect("checked running");
-            st.entry_mut(running).preempt_pending = true;
-            st.stats.preemptions += 1;
-            Some(st.entry(running).preempt_event)
-        } else {
-            None
-        }
-    };
-    if let Some(ev) = notify {
-        h.notify(ev);
+    let mut st = shared.lock();
+    let now = h.now();
+    match st.entry(target).state {
+        TaskState::Ready | TaskState::Running | TaskState::Terminated => return,
+        _ => {}
+    }
+    st.enqueue_ready(target, now, true);
+    if st.running.is_some() && st.preemption_check(target, now) {
+        let running = st.running.expect("checked running");
+        st.entry_mut(running).preempt_pending = true;
+        st.stats.preemptions += 1;
+        h.notify(st.entry(running).preempt_event);
     }
 }
 

@@ -81,6 +81,6 @@ pub use error::KernelError;
 pub use event::{Event, Wake};
 pub use process::{ProcessContext, ProcessId};
 pub use scheduler::KernelStats;
-pub use segment::{ExecMode, KernelHandle, SegStep, SegmentCtx, WaitRequest};
+pub use segment::{EventList, ExecMode, KernelHandle, SegStep, SegmentCtx, WaitRequest};
 pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};

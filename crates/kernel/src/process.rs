@@ -24,7 +24,7 @@ use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
-use crate::segment::{SegmentCtx, WaitRequest};
+use crate::segment::{EventList, SegmentCtx, WaitRequest};
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 
@@ -75,7 +75,7 @@ pub(crate) enum YieldReason {
     WaitTime(SimDuration),
     /// Block on one or more events, optionally bounded by a timeout.
     WaitEvents {
-        events: Vec<Event>,
+        events: EventList,
         timeout: Option<SimDuration>,
     },
     /// The process body returned normally.
@@ -203,7 +203,7 @@ impl ProcessContext {
     /// `sc_event`.
     pub fn wait_event(&mut self, event: Event) {
         let wake = self.suspend(YieldReason::WaitEvents {
-            events: vec![event],
+            events: EventList::One(event),
             timeout: None,
         });
         debug_assert_eq!(wake, Wake::Event(event));
@@ -217,7 +217,7 @@ impl ProcessContext {
     /// computation time with its preemption event as the escape hatch.
     pub fn wait_event_for(&mut self, event: Event, timeout: SimDuration) -> Wake {
         self.suspend(YieldReason::WaitEvents {
-            events: vec![event],
+            events: EventList::One(event),
             timeout: Some(timeout),
         })
     }
@@ -230,7 +230,7 @@ impl ProcessContext {
     pub fn wait_any(&mut self, events: &[Event]) -> Event {
         assert!(!events.is_empty(), "wait_any on an empty event set");
         let wake = self.suspend(YieldReason::WaitEvents {
-            events: events.to_vec(),
+            events: EventList::Many(events.to_vec()),
             timeout: None,
         });
         match wake {
@@ -247,7 +247,7 @@ impl ProcessContext {
     pub fn wait_any_for(&mut self, events: &[Event], timeout: SimDuration) -> Wake {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         self.suspend(YieldReason::WaitEvents {
-            events: events.to_vec(),
+            events: EventList::Many(events.to_vec()),
             timeout: Some(timeout),
         })
     }

@@ -88,6 +88,11 @@ pub(crate) struct Kernel {
     runnable: VecDeque<(ProcessId, Wake)>,
     delta_events: Vec<Event>,
     timers: BinaryHeap<Reverse<TimedEntry>>,
+    /// Notification buffer lent to each segment dispatch and handed back
+    /// drained by [`Kernel::apply_ops`], so dispatches do not allocate.
+    ops_buf: Vec<NotifyOp>,
+    /// Same-instant ripe timer set, reused across timed phases.
+    ripe_buf: Vec<TimedEntry>,
     stamp: u64,
     yield_tx: Sender<YieldMsg>,
     yield_rx: Receiver<YieldMsg>,
@@ -109,6 +114,8 @@ impl Kernel {
             runnable: VecDeque::new(),
             delta_events: Vec::new(),
             timers: BinaryHeap::new(),
+            ops_buf: Vec::new(),
+            ripe_buf: Vec::new(),
             stamp: 0,
             yield_tx,
             yield_rx,
@@ -309,15 +316,38 @@ impl Kernel {
     }
 
     /// Wakes every valid waiter of `event` into the current evaluation
-    /// phase.
+    /// phase. The drained waiter list goes back to the event's slot, which
+    /// keeps its capacity: waking only queues processes and never
+    /// registers a waiter, so the slot is still empty here.
     fn fire(&mut self, event: Event) {
-        let waiters = std::mem::take(&mut self.events[event.index()].waiters);
-        for (pid, seq) in waiters {
+        let mut waiters = std::mem::take(&mut self.events[event.index()].waiters);
+        for &(pid, seq) in &waiters {
             let proc = &self.procs[pid.index()];
             if proc.state == ProcState::Waiting && proc.wait_seq == seq {
                 self.make_runnable(pid, Wake::Event(event));
             }
         }
+        waiters.clear();
+        let slot = &mut self.events[event.index()].waiters;
+        debug_assert!(slot.is_empty(), "a wake registered a waiter");
+        *slot = waiters;
+    }
+
+    /// Adds `(pid, seq)` to `event`'s waiters. Before the list would
+    /// grow, registrations gone stale (their wait ended some other way,
+    /// e.g. by timeout) are dropped: a wait that keeps timing out would
+    /// otherwise grow its event's list without bound. Dropping them does
+    /// not change who `fire` wakes, or in which order.
+    fn register_waiter(&mut self, event: Event, pid: ProcessId, seq: u64) {
+        let waiters = &mut self.events[event.index()].waiters;
+        if waiters.len() == waiters.capacity() {
+            let procs = &self.procs;
+            waiters.retain(|&(p, s)| {
+                let proc = &procs[p.index()];
+                proc.state == ProcState::Waiting && proc.wait_seq == s
+            });
+        }
+        waiters.push((pid, seq));
     }
 
     fn make_runnable(&mut self, pid: ProcessId, wake: Wake) {
@@ -329,8 +359,11 @@ impl Kernel {
         self.runnable.push_back((pid, wake));
     }
 
-    fn apply_ops(&mut self, ops: Vec<NotifyOp>) {
-        for op in ops {
+    /// Applies a yield's buffered notifications in program order, then
+    /// keeps the drained buffer for the next segment dispatch (a thread's
+    /// buffer replaces it only when it is larger).
+    fn apply_ops(&mut self, mut ops: Vec<NotifyOp>) {
+        for op in ops.drain(..) {
             match op {
                 NotifyOp::Immediate(e) => {
                     // Immediate notification overrides (cancels) anything
@@ -357,6 +390,9 @@ impl Kernel {
                 }
             }
         }
+        if ops.capacity() > self.ops_buf.capacity() {
+            self.ops_buf = ops;
+        }
     }
 
     fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason) -> Result<(), KernelError> {
@@ -377,8 +413,8 @@ impl Kernel {
                 let proc = &mut self.procs[pid.index()];
                 proc.state = ProcState::Waiting;
                 let seq = proc.wait_seq;
-                for e in events {
-                    self.events[e.index()].waiters.push((pid, seq));
+                for &e in events.as_slice() {
+                    self.register_waiter(e, pid, seq);
                 }
                 if let Some(d) = timeout {
                     let at = self.now().saturating_add(d);
@@ -453,7 +489,8 @@ impl Kernel {
             ProcBackend::Segment { body } => {
                 let mut machine = body.take().expect("segment process re-entered");
                 let now = self.now();
-                let mut ops = Vec::new();
+                let mut ops = std::mem::take(&mut self.ops_buf);
+                debug_assert!(ops.is_empty());
                 let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut ctx = SegmentCtx {
                         pid,
@@ -529,6 +566,10 @@ impl Kernel {
                 loop {
                     pending.retain(|e| self.events[e.index()].pending == Pending::Delta);
                     if pending.is_empty() {
+                        // Hand the drained buffer back (nothing was posted
+                        // meanwhile, see above).
+                        debug_assert!(self.delta_events.is_empty());
+                        self.delta_events = pending;
                         break;
                     }
                     let idx = if self.choice.is_some() && pending.len() >= 2 {
@@ -576,10 +617,12 @@ impl Kernel {
             // revalidate an entry (wait_seq and pending stamps only move
             // forward), so the retain per iteration only ever shrinks the
             // set and the collect-then-fire order equals the old eager pop.
-            let mut ripe = self.take_ripe(t);
+            let mut ripe = std::mem::take(&mut self.ripe_buf);
+            self.take_ripe(t, &mut ripe);
             loop {
                 ripe.retain(|e| self.timer_valid(e));
                 if ripe.is_empty() {
+                    self.ripe_buf = ripe;
                     break;
                 }
                 let idx = if self.choice.is_some() && ripe.len() >= 2 {
@@ -603,12 +646,12 @@ impl Kernel {
         }
     }
 
-    /// Pops every heap entry ripe at `t` (valid, `time <= t`), in the
-    /// heap's deterministic ascending `(time, stamp)` order — the stable
-    /// same-instant slice the choice hook enumerates over. Invalid
-    /// entries are discarded during the pop.
-    fn take_ripe(&mut self, t: SimTime) -> Vec<TimedEntry> {
-        let mut ripe = Vec::new();
+    /// Pops every heap entry ripe at `t` (valid, `time <= t`) onto the
+    /// empty `ripe`, in the heap's deterministic ascending `(time, stamp)`
+    /// order — the stable same-instant slice the choice hook enumerates
+    /// over. Invalid entries are discarded during the pop.
+    fn take_ripe(&mut self, t: SimTime, ripe: &mut Vec<TimedEntry>) {
+        debug_assert!(ripe.is_empty());
         while let Some(Reverse(top)) = self.timers.peek().copied() {
             if top.time > t {
                 break;
@@ -618,7 +661,6 @@ impl Kernel {
                 ripe.push(top);
             }
         }
-        ripe
     }
 
     /// The set of timer entries that would fire at the next timed

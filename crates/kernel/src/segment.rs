@@ -93,6 +93,31 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
+/// The events a wait blocks on.
+///
+/// Almost every wait names exactly one event (`wait_event`,
+/// `wait_event_for`, and the RTOS model's run and preemption events), so
+/// that case is held inline and a steady-state dispatch allocates
+/// nothing; `wait_any` keeps its `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventList {
+    /// A single event.
+    One(Event),
+    /// Any number of events, in registration order; an event listed twice
+    /// is registered twice (only the first wake counts).
+    Many(Vec<Event>),
+}
+
+impl EventList {
+    /// The events, in registration order.
+    pub fn as_slice(&self) -> &[Event] {
+        match self {
+            EventList::One(e) => std::slice::from_ref(e),
+            EventList::Many(events) => events,
+        }
+    }
+}
+
 /// The wait a segment requests when it yields — the exact analogue of the
 /// `wait_*` family on [`ProcessContext`](crate::ProcessContext).
 #[derive(Debug, Clone)]
@@ -103,7 +128,7 @@ pub enum WaitRequest {
     /// `wait_event_for`, `wait_any`, `wait_any_for`).
     Events {
         /// Events to wait on; must be non-empty when `timeout` is `None`.
-        events: Vec<Event>,
+        events: EventList,
         /// Timeout bound, if any.
         timeout: Option<SimDuration>,
     },
@@ -118,7 +143,7 @@ impl WaitRequest {
     /// `wait_event(e)` as a request.
     pub fn event(e: Event) -> Self {
         WaitRequest::Events {
-            events: vec![e],
+            events: EventList::One(e),
             timeout: None,
         }
     }
@@ -126,7 +151,7 @@ impl WaitRequest {
     /// `wait_event_for(e, timeout)` as a request.
     pub fn event_for(e: Event, timeout: SimDuration) -> Self {
         WaitRequest::Events {
-            events: vec![e],
+            events: EventList::One(e),
             timeout: Some(timeout),
         }
     }

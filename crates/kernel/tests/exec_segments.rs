@@ -3,7 +3,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use rtsim_kernel::{ExecMode, SegStep, SimDuration, SimTime, Simulator, WaitRequest, Wake};
+use rtsim_kernel::{
+    EventList, ExecMode, SegStep, SimDuration, SimTime, Simulator, WaitRequest, Wake,
+};
 
 fn us(n: u64) -> SimDuration {
     SimDuration::from_us(n)
@@ -208,4 +210,74 @@ fn stale_timer_discarded_in_segment_mode() {
         assert_eq!(sim.now().as_us(), 510, "{mode}");
         assert_eq!(sim.alive_processes(), 0, "{mode}");
     }
+}
+
+/// Multi-event segment waits: the waiter lists two events (one of them
+/// twice), untimed and timed. It must wake once, on whichever event fires
+/// first, and see that event in `ctx.wake()`; a timed wait nobody
+/// notifies ends in a timeout. Both execution modes must agree.
+#[test]
+fn multi_event_segment_waits() {
+    type Run = (Vec<(u64, Wake)>, rtsim_kernel::KernelStats);
+
+    /// Runs the model and checks the wakes against this simulator's own
+    /// event handles.
+    fn run(mode: ExecMode) -> Run {
+        let mut sim = Simulator::with_mode(mode);
+        let a = sim.event("a");
+        let b = sim.event("b");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let mut step = 0u32;
+        sim.spawn_segment("waiter", move |ctx| {
+            if step > 0 {
+                log.lock().unwrap().push((ctx.now().as_us(), ctx.wake()));
+            }
+            step += 1;
+            let (events, timeout) = match step {
+                1 => (vec![a, b, a], None),
+                2 => (vec![b, a, a], Some(us(100))),
+                3 => (vec![a, b], Some(us(50))),
+                _ => return SegStep::Done,
+            };
+            SegStep::Yield(WaitRequest::Events {
+                events: EventList::Many(events),
+                timeout,
+            })
+        });
+        let mut fired = 0u32;
+        sim.spawn_segment("notifier", move |ctx| {
+            fired += 1;
+            match fired {
+                1 => SegStep::Yield(WaitRequest::time(us(10))),
+                2 => {
+                    ctx.notify(b);
+                    SegStep::Yield(WaitRequest::time(us(20)))
+                }
+                _ => {
+                    // Same instant, program order: `a` fires first and
+                    // `b` finds the waiter already woken.
+                    ctx.notify(a);
+                    ctx.notify(b);
+                    SegStep::Done
+                }
+            }
+        });
+        sim.run().unwrap();
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(
+            seen,
+            [
+                (10, Wake::Event(b)),
+                (30, Wake::Event(a)),
+                (80, Wake::Timeout)
+            ],
+            "{mode}"
+        );
+        (seen, sim.stats())
+    }
+
+    let segment = run(ExecMode::Segment);
+    assert_eq!(segment, run(ExecMode::Thread));
+    assert_eq!(segment.1.event_wakes, 2, "each wait woke exactly once");
 }

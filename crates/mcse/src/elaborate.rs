@@ -40,10 +40,15 @@ impl Io {
     ///
     /// Panics if no event relation with that name was declared.
     pub fn event(&self, name: &str) -> RtEvent {
+        self.event_ref(name).clone()
+    }
+
+    /// Borrowed form of [`event`](Io::event), for the script interpreter's
+    /// per-instruction lookups.
+    pub(crate) fn event_ref(&self, name: &str) -> &RtEvent {
         self.events
             .get(name)
             .unwrap_or_else(|| panic!("no event relation `{name}` in the model"))
-            .clone()
     }
 
     /// The message-queue relation called `name`.
@@ -52,10 +57,15 @@ impl Io {
     ///
     /// Panics if no queue relation with that name was declared.
     pub fn queue(&self, name: &str) -> MessageQueue<Message> {
+        self.queue_ref(name).clone()
+    }
+
+    /// Borrowed form of [`queue`](Io::queue), for the script interpreter's
+    /// per-instruction lookups.
+    pub(crate) fn queue_ref(&self, name: &str) -> &MessageQueue<Message> {
         self.queues
             .get(name)
             .unwrap_or_else(|| panic!("no queue relation `{name}` in the model"))
-            .clone()
     }
 
     /// The rendezvous relation called `name`.
@@ -76,10 +86,15 @@ impl Io {
     ///
     /// Panics if no shared-variable relation with that name was declared.
     pub fn var(&self, name: &str) -> SharedVar<Message> {
+        self.var_ref(name).clone()
+    }
+
+    /// Borrowed form of [`var`](Io::var), for the script interpreter's
+    /// per-instruction lookups.
+    pub(crate) fn var_ref(&self, name: &str) -> &SharedVar<Message> {
         self.vars
             .get(name)
             .unwrap_or_else(|| panic!("no shared-variable relation `{name}` in the model"))
-            .clone()
     }
 }
 

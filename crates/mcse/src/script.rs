@@ -436,23 +436,36 @@ enum Pending {
     VarRecord(VarAccess),
 }
 
-/// Did an instruction feed work to the runner (yield soon) or complete
-/// instantaneously?
+/// What executing an instruction asks of the interpreter.
 enum Progress {
+    /// Work was fed to the runner: yield soon.
     Intent,
+    /// The instruction completed instantaneously.
     Continue,
+    /// Walk this body next (the control-flow instructions).
+    Enter(Arc<[Instr]>, FrameKind),
+    /// End the whole script ([`Instr::Return`]).
+    Return,
 }
 
 /// A script bound to a run-to-completion runner — the script
 /// interpreter, embeddable directly in
 /// [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment).
 pub struct ScriptProcess {
+    /// The lists being walked. Each instruction executes borrowed from
+    /// here, so fetching one clones nothing.
+    ctl: Vec<CtlFrame>,
+    /// Everything else an instruction may change.
+    state: Interp,
+    begun: bool,
+}
+
+/// The interpreter state apart from its control stack.
+struct Interp {
     runner: Runner,
     io: Arc<Io>,
-    ctl: Vec<CtlFrame>,
     regs: Regs,
     pending: Option<Pending>,
-    begun: bool,
     fctx: Option<FaultCtx>,
 }
 
@@ -472,7 +485,7 @@ impl ScriptProcess {
     /// Attaches a fault-injection context (see [`FaultCtx`]); without
     /// one the interpreter is exactly the pre-fault interpreter.
     pub fn with_fault(mut self, fctx: Option<FaultCtx>) -> Self {
-        self.fctx = fctx;
+        self.state.fctx = fctx;
         self
     }
 
@@ -487,13 +500,15 @@ impl ScriptProcess {
             }]
         };
         ScriptProcess {
-            runner,
-            io,
             ctl,
-            regs: Regs::initial(SimTime::ZERO),
-            pending: None,
+            state: Interp {
+                runner,
+                io,
+                regs: Regs::initial(SimTime::ZERO),
+                pending: None,
+                fctx: None,
+            },
             begun: false,
-            fctx: None,
         }
     }
 
@@ -501,13 +516,13 @@ impl ScriptProcess {
     /// whenever it goes idle, until it yields a wait or terminates.
     pub fn poll(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep {
         loop {
-            match self.runner.advance(ctx) {
+            match self.state.runner.advance(ctx) {
                 SegControl::Yield(req) => return SegStep::Yield(req),
                 SegControl::Finished => return SegStep::Done,
                 SegControl::Idle => {
                     if !self.begun {
                         self.begun = true;
-                        self.regs.started = ctx.now();
+                        self.state.regs.started = ctx.now();
                     }
                     self.on_idle(ctx);
                 }
@@ -518,71 +533,61 @@ impl ScriptProcess {
     /// The runner is idle: resolve any in-flight operation, then feed
     /// instructions until one hands the runner work or the script ends.
     fn on_idle(&mut self, ctx: &mut SegmentCtx<'_>) {
-        if let Some(p) = self.pending.take() {
-            if let Progress::Intent = self.resume(ctx, p) {
+        if let Some(p) = self.state.pending.take() {
+            if let Progress::Intent = self.state.resume(ctx, p) {
                 return;
             }
         }
         loop {
-            let Some(instr) = self.fetch() else {
-                self.runner.finish();
+            let Some(instr) = fetch(&mut self.ctl, &mut self.state.regs.k) else {
+                self.state.runner.finish();
                 return;
             };
-            if let Progress::Intent = self.exec(ctx, instr) {
-                return;
+            match self.state.exec(ctx, instr) {
+                Progress::Intent => return,
+                Progress::Continue => {}
+                Progress::Enter(list, kind) => self.ctl.push(CtlFrame { list, idx: 0, kind }),
+                Progress::Return => self.ctl.clear(),
             }
         }
     }
+}
 
-    /// Advances the control stack to the next instruction, unwinding and
-    /// rewinding loops.
-    fn fetch(&mut self) -> Option<Instr> {
-        enum Wrap {
-            Pop(Option<u64>),
-            Again,
+/// Advances the control stack to the next instruction, unwinding and
+/// rewinding loops (`k` is the loop counter register).
+fn fetch<'a>(ctl: &'a mut Vec<CtlFrame>, k: &mut u64) -> Option<&'a Instr> {
+    loop {
+        let frame = ctl.last_mut()?;
+        if frame.idx < frame.list.len() {
+            frame.idx += 1;
+            break;
         }
-        loop {
-            let wrap = {
-                let frame = self.ctl.last_mut()?;
-                if frame.idx < frame.list.len() {
-                    let instr = frame.list[frame.idx].clone();
-                    frame.idx += 1;
-                    return Some(instr);
+        match &mut frame.kind {
+            FrameKind::Seq => {
+                ctl.pop();
+            }
+            FrameKind::Repeat { left, saved_k } => {
+                *left -= 1;
+                if *left == 0 {
+                    *k = *saved_k;
+                    ctl.pop();
+                } else {
+                    frame.idx = 0;
+                    *k += 1;
                 }
-                match &mut frame.kind {
-                    FrameKind::Seq => Wrap::Pop(None),
-                    FrameKind::Repeat { left, saved_k } => {
-                        *left -= 1;
-                        if *left == 0 {
-                            Wrap::Pop(Some(*saved_k))
-                        } else {
-                            frame.idx = 0;
-                            Wrap::Again
-                        }
-                    }
-                    FrameKind::Forever => {
-                        frame.idx = 0;
-                        Wrap::Again
-                    }
-                }
-            };
-            match wrap {
-                Wrap::Pop(k) => {
-                    self.ctl.pop();
-                    if let Some(k) = k {
-                        self.regs.k = k;
-                    }
-                }
-                Wrap::Again => self.regs.k += 1,
+            }
+            FrameKind::Forever => {
+                frame.idx = 0;
+                *k += 1;
             }
         }
     }
+    let frame = ctl.last()?;
+    Some(&frame.list[frame.idx - 1])
+}
 
-    fn push_body(&mut self, list: Arc<[Instr]>, kind: FrameKind) {
-        self.ctl.push(CtlFrame { list, idx: 0, kind });
-    }
-
-    fn exec(&mut self, ctx: &mut SegmentCtx<'_>, instr: Instr) -> Progress {
+impl Interp {
+    fn exec(&mut self, ctx: &mut SegmentCtx<'_>, instr: &Instr) -> Progress {
         match instr {
             Instr::Execute(f) => {
                 let mut d = f(&self.regs);
@@ -595,7 +600,7 @@ impl ScriptProcess {
                         agent
                             .recorder()
                             .fault(actor, now, FaultKind::Burst, extra.as_ps());
-                        d = d + extra;
+                        d += extra;
                     }
                 }
                 self.runner.execute(d);
@@ -618,11 +623,11 @@ impl ScriptProcess {
             }
             Instr::Annotate(label) => {
                 let mut agent = self.runner.agent(ctx);
-                agent.annotate(&label);
+                agent.annotate(label);
                 Progress::Continue
             }
             Instr::Signal(name) => {
-                let ev = self.io.event(&name);
+                let ev = self.io.event_ref(name);
                 let mut agent = self.runner.agent(ctx);
                 ev.signal(&mut agent);
                 Progress::Continue
@@ -635,7 +640,7 @@ impl ScriptProcess {
             Instr::QueueRead(name) => self.queue_read(ctx, name, None),
             Instr::QueueTryWrite(name, f) => {
                 let msg = f(&self.regs);
-                let q = self.io.queue(&name);
+                let q = self.io.queue_ref(name);
                 let ok = {
                     let mut agent = self.runner.agent(ctx);
                     q.try_write(&mut agent, msg).is_ok()
@@ -644,7 +649,7 @@ impl ScriptProcess {
                 Progress::Continue
             }
             Instr::QueueTryRead(name) => {
-                let q = self.io.queue(&name);
+                let q = self.io.queue_ref(name);
                 let got = {
                     let mut agent = self.runner.agent(ctx);
                     q.try_read(&mut agent)
@@ -663,7 +668,7 @@ impl ScriptProcess {
                 self.var_begin(
                     ctx,
                     VarAccess {
-                        name,
+                        name: Arc::clone(name),
                         dur,
                         write: None,
                     },
@@ -675,48 +680,39 @@ impl ScriptProcess {
                 self.var_begin(
                     ctx,
                     VarAccess {
-                        name,
+                        name: Arc::clone(name),
                         dur,
                         write: Some(msg),
                     },
                 )
             }
             Instr::Repeat(n, body) => {
-                if n > 0 {
-                    let saved = self.regs.k;
-                    self.push_body(
-                        body,
-                        FrameKind::Repeat {
-                            left: n,
-                            saved_k: saved,
-                        },
-                    );
-                    self.regs.k = 0;
+                if *n == 0 {
+                    return Progress::Continue;
                 }
-                Progress::Continue
+                let saved_k = self.regs.k;
+                self.regs.k = 0;
+                Progress::Enter(Arc::clone(body), FrameKind::Repeat { left: *n, saved_k })
             }
             Instr::Forever(body) => {
                 assert!(!body.is_empty(), "Forever body must not be empty");
-                self.push_body(body, FrameKind::Forever);
                 self.regs.k = 0;
-                Progress::Continue
+                Progress::Enter(Arc::clone(body), FrameKind::Forever)
             }
             Instr::IfFlag(then_body, else_body) => {
                 let body = if self.regs.flag { then_body } else { else_body };
-                if !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
-                }
-                Progress::Continue
+                enter_seq(body)
             }
             Instr::IfNowPast(f, body) => {
-                if ctx.now() > f(&self.regs) && !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
+                if ctx.now() > f(&self.regs) {
+                    enter_seq(body)
+                } else {
+                    Progress::Continue
                 }
-                Progress::Continue
             }
             Instr::PeriodicRelease(period) => {
                 let next_k = self.regs.k + 1;
-                let base = self.regs.started + period * next_k;
+                let base = self.regs.started + *period * next_k;
                 let offset = self
                     .fctx
                     .as_ref()
@@ -776,30 +772,23 @@ impl ScriptProcess {
                         use_fallback = v.degraded;
                     }
                 }
-                let body = if use_fallback { fallback } else { nominal };
-                if !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
-                }
-                Progress::Continue
+                enter_seq(if use_fallback { fallback } else { nominal })
             }
-            Instr::Return => {
-                self.ctl.clear();
-                Progress::Continue
-            }
+            Instr::Return => Progress::Return,
         }
     }
 
     fn resume(&mut self, ctx: &mut SegmentCtx<'_>, pending: Pending) -> Progress {
         match pending {
-            Pending::EventRetry(name) => self.event_wait(ctx, name),
+            Pending::EventRetry(name) => self.event_wait(ctx, &name),
             Pending::EventFinish(name) => {
-                let ev = self.io.event(&name);
+                let ev = self.io.event_ref(&name);
                 let mut agent = self.runner.agent(ctx);
                 ev.finish_fugitive_wait(&mut agent);
                 Progress::Continue
             }
-            Pending::QueueWrite(name, msg, ticket) => self.queue_write(ctx, name, msg, ticket),
-            Pending::QueueRead(name, ticket) => self.queue_read(ctx, name, ticket),
+            Pending::QueueWrite(name, msg, ticket) => self.queue_write(ctx, &name, msg, ticket),
+            Pending::QueueRead(name, ticket) => self.queue_read(ctx, &name, ticket),
             Pending::VarAcquire(acc) => self.var_begin(ctx, acc),
             Pending::VarHold(acc) => self.var_release(ctx, acc),
             Pending::VarRecord(acc) => {
@@ -809,8 +798,8 @@ impl ScriptProcess {
         }
     }
 
-    fn event_wait(&mut self, ctx: &mut SegmentCtx<'_>, name: Arc<str>) -> Progress {
-        let ev = self.io.event(&name);
+    fn event_wait(&mut self, ctx: &mut SegmentCtx<'_>, name: &Arc<str>) -> Progress {
+        let ev = self.io.event_ref(name);
         let wait = {
             let mut agent = self.runner.agent(ctx);
             ev.wait_attempt(&mut agent)
@@ -819,6 +808,7 @@ impl ScriptProcess {
             EvWait::Ready => Progress::Continue,
             EvWait::Registered { fugitive } => {
                 self.runner.suspend(false);
+                let name = Arc::clone(name);
                 self.pending = Some(if fugitive {
                     Pending::EventFinish(name)
                 } else {
@@ -832,11 +822,11 @@ impl ScriptProcess {
     fn queue_write(
         &mut self,
         ctx: &mut SegmentCtx<'_>,
-        name: Arc<str>,
+        name: &Arc<str>,
         msg: Message,
         mut ticket: Option<u64>,
     ) -> Progress {
-        let q = self.io.queue(&name);
+        let q = self.io.queue_ref(name);
         let res = {
             let mut agent = self.runner.agent(ctx);
             q.write_attempt(&mut agent, msg, &mut ticket)
@@ -845,7 +835,7 @@ impl ScriptProcess {
             Ok(()) => Progress::Continue,
             Err(m) => {
                 self.runner.suspend(false);
-                self.pending = Some(Pending::QueueWrite(name, m, ticket));
+                self.pending = Some(Pending::QueueWrite(Arc::clone(name), m, ticket));
                 Progress::Intent
             }
         }
@@ -854,10 +844,10 @@ impl ScriptProcess {
     fn queue_read(
         &mut self,
         ctx: &mut SegmentCtx<'_>,
-        name: Arc<str>,
+        name: &Arc<str>,
         mut ticket: Option<u64>,
     ) -> Progress {
-        let q = self.io.queue(&name);
+        let q = self.io.queue_ref(name);
         let got = {
             let mut agent = self.runner.agent(ctx);
             q.read_attempt(&mut agent, &mut ticket)
@@ -869,14 +859,14 @@ impl ScriptProcess {
             }
             None => {
                 self.runner.suspend(false);
-                self.pending = Some(Pending::QueueRead(name, ticket));
+                self.pending = Some(Pending::QueueRead(Arc::clone(name), ticket));
                 Progress::Intent
             }
         }
     }
 
     fn var_begin(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let var = self.io.var(&acc.name);
+        let var = self.io.var_ref(&acc.name);
         let got = {
             let mut agent = self.runner.agent(ctx);
             var.acquire_attempt(&mut agent)
@@ -900,7 +890,7 @@ impl ScriptProcess {
     }
 
     fn var_release(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let var = self.io.var(&acc.name);
+        let var = self.io.var_ref(&acc.name);
         if let Some(m) = acc.write {
             var.locked_set(m);
         }
@@ -917,7 +907,7 @@ impl ScriptProcess {
     }
 
     fn var_record(&mut self, ctx: &mut SegmentCtx<'_>, acc: &VarAccess) {
-        let var = self.io.var(&acc.name);
+        let var = self.io.var_ref(&acc.name);
         let kind = if acc.write.is_some() {
             CommKind::Write
         } else {
@@ -928,12 +918,21 @@ impl ScriptProcess {
     }
 }
 
+/// Walks a non-empty `body` next as a plain sequence.
+fn enter_seq(body: &Arc<[Instr]>) -> Progress {
+    if body.is_empty() {
+        Progress::Continue
+    } else {
+        Progress::Enter(Arc::clone(body), FrameKind::Seq)
+    }
+}
+
 impl std::fmt::Debug for ScriptProcess {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScriptProcess")
             .field("frames", &self.ctl.len())
-            .field("regs", &self.regs)
-            .field("pending", &self.pending.is_some())
+            .field("regs", &self.state.regs)
+            .field("pending", &self.state.pending.is_some())
             .finish()
     }
 }
