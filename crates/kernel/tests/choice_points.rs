@@ -214,3 +214,80 @@ fn policy_redirects_delta_ties() {
         "policy never saw the delta tie: {seen:?}"
     );
 }
+
+/// Always answers with an out-of-range index.
+struct OutOfRange;
+
+impl ChoicePolicy for OutOfRange {
+    fn choose(&mut self, _now: SimTime, _kind: ChoiceKind, _candidates: &[Candidate]) -> usize {
+        99
+    }
+}
+
+/// A policy that breaks its contract while a process's own turn decides
+/// the next dispatch: `a` wakes at 5 ns and notifies `go`, making `b` and
+/// `c` a two-way tie that is resolved as `a` yields for the last time. In
+/// thread mode that decision is taken while `a`'s thread runs. Either way
+/// `run` must panic on the calling thread with the kernel's message — no
+/// abort, no hang — and dropping the simulator during that unwind must
+/// tear its process threads down cleanly.
+#[test]
+fn scheduler_panic_during_a_process_turn_surfaces_on_the_caller() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use rtsim_kernel::{ExecMode, SegStep, WaitRequest};
+
+    for mode in [ExecMode::Thread, ExecMode::Segment] {
+        let (done_tx, done_rx) = mpsc::channel();
+        // A separate caller thread, so a hang fails the test instead of
+        // stalling the whole binary.
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(move || {
+                let mut sim = Simulator::with_mode(mode);
+                let go = sim.event("go");
+                let mut woke = false;
+                sim.spawn_segment("a", move |ctx| {
+                    if woke {
+                        ctx.notify(go);
+                        return SegStep::Done;
+                    }
+                    woke = true;
+                    SegStep::Yield(WaitRequest::time(SimDuration::from_ns(5)))
+                });
+                for name in ["b", "c"] {
+                    let mut waited = false;
+                    sim.spawn_segment(name, move |_ctx| {
+                        if waited {
+                            return SegStep::Done;
+                        }
+                        waited = true;
+                        SegStep::Yield(WaitRequest::event(go))
+                    });
+                }
+                sim.run_until(SimTime::from_ps(1_000)).unwrap();
+                sim.set_choice_policy(Some(Box::new(OutOfRange)));
+                // `sim` is dropped by the unwind out of this call.
+                let _ = sim.run();
+            });
+            let message = match outcome {
+                Ok(()) => None,
+                Err(payload) => Some(
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_else(|| "<non-string payload>".to_owned()),
+                ),
+            };
+            let _ = done_tx.send(message);
+        });
+        let message = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{mode}: run neither returned nor panicked"));
+        assert_eq!(
+            message.as_deref(),
+            Some("choice policy picked index 99 out of 2 candidates"),
+            "{mode}"
+        );
+    }
+}
