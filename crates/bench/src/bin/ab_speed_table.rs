@@ -9,11 +9,15 @@
 //! scheduling actions.
 //!
 //! The same optimization exists one layer down: the kernel can back each
-//! simulated process with an OS thread plus a channel handoff
-//! (`ExecMode::Thread`) or dispatch run-to-completion segments inline in
-//! the scheduler loop (`ExecMode::Segment`) — zero thread spawns, zero
-//! park/unpark. The third trajectory group, `segment_mode/*`, re-runs
-//! the procedure-call model under the segment kernel; its speedup over
+//! simulated process with an OS thread (`ExecMode::Thread`) or dispatch
+//! run-to-completion segments inline in the scheduler loop
+//! (`ExecMode::Segment`) — zero thread spawns, zero park/unpark. In
+//! thread mode the kernel is a baton owned by one thread at a time (home
+//! between runs, the running process's thread during a run): a yielding
+//! process schedules on its own thread, so resuming itself costs no OS
+//! switch and switching to another process costs one channel handoff.
+//! The third trajectory group, `segment_mode/*`, re-runs the
+//! procedure-call model under the segment kernel; its speedup over
 //! `procedure_call/*` (the thread-backed kernel) is the run-to-completion
 //! win. `--assert-speedup <X>` turns that ratio into a gate: the run
 //! fails unless the median per-case speedup is at least `X` (machine

@@ -11,7 +11,8 @@
 //! - events with immediate / delta / timed notification and the IEEE 1666
 //!   single-pending-notification override rules ([`Event`]);
 //! - cooperative processes written as plain closures, backed by OS threads
-//!   under a strict one-runner handoff ([`ProcessContext`]);
+//!   that pass the kernel between them like a baton, so exactly one runs
+//!   at a time ([`ProcessContext`]);
 //! - run-to-completion **segment** processes — state machines
 //!   ([`SegmentCtx`], [`SegStep`]) that [`ExecMode::Segment`] dispatches
 //!   inline by the scheduler with no backing thread (the paper's
@@ -56,8 +57,8 @@
 //!
 //! # Determinism
 //!
-//! Although processes run on OS threads, exactly one thread (kernel or a
-//! single process) executes at any moment, and all queues are FIFO with
+//! Although processes run on OS threads, exactly one thread — the one
+//! holding the kernel — executes at any moment, and all queues are FIFO with
 //! stable tie-breaking — so every run of the same model produces the
 //! identical event schedule. This is what makes trace-based assertions in
 //! the higher layers possible.

@@ -1,29 +1,36 @@
-//! Simulation processes and the cooperative handoff protocol.
+//! Simulation processes and the cooperative baton protocol.
 //!
 //! A simulation process (the analogue of a SystemC `SC_THREAD`) is an
 //! ordinary Rust closure running on its own OS thread, but under a strict
-//! *one-runner* protocol: at any instant either the kernel scheduler or
-//! exactly one process thread is executing. Control is handed over through
-//! channels:
+//! *one-runner* protocol. The kernel is owned by exactly one thread at a
+//! time and travels with control, like a baton: it is home, on the thread
+//! that owns the `Simulator`, between runs, and on the running process's
+//! thread during a run.
 //!
-//! - the kernel resumes a process by sending it a resume message;
-//! - the process runs until it calls one of the `wait_*` methods on its
-//!   [`ProcessContext`], which sends a yield message (carrying any buffered
-//!   event notifications plus the wait request) back to the kernel and
-//!   blocks until resumed again.
+//! - A run starts at home: the scheduler loop runs there until a thread
+//!   process is next, and the kernel is sent to that process's thread
+//!   with its resume message.
+//! - The process runs until it calls one of the `wait_*` methods on its
+//!   [`ProcessContext`]. On its own thread it then applies its buffered
+//!   event notifications and its wait, and runs the scheduler loop on.
+//! - If the loop picks the same process again, the wait returns at once:
+//!   a self-resume costs no channel traffic and no OS switch. If it picks
+//!   another thread process, the kernel moves to that thread and this one
+//!   blocks. If the run ends, the kernel is sent home.
 //!
-//! This is semantically identical to SystemC's cooperative coroutines, and
-//! because the handoff is a real thread switch, the *relative* cost of
-//! process switches — the quantity the DATE 2004 paper's approach-A versus
-//! approach-B experiment measures — is faithfully reproduced.
+//! This is semantically identical to SystemC's cooperative coroutines,
+//! and every switch to a different process is a real thread switch, so
+//! the *relative* cost of process switches — the quantity the DATE 2004
+//! paper's approach-A versus approach-B experiment measures — is
+//! faithfully reproduced.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
+use crate::scheduler::{Homecoming, Kernel};
 use crate::segment::{EventList, SegmentCtx, WaitRequest};
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
@@ -50,7 +57,7 @@ impl fmt::Display for ProcessId {
     }
 }
 
-/// Buffered notification operation, applied by the kernel in program order
+/// Buffered notification operation, applied to the kernel in program order
 /// when the issuing process yields.
 ///
 /// Because only one process runs at a time, deferring the application to
@@ -93,19 +100,11 @@ impl From<WaitRequest> for YieldReason {
     }
 }
 
-/// Message sent from a process thread to the kernel at each yield point.
-#[derive(Debug)]
-pub(crate) struct YieldMsg {
-    pub pid: ProcessId,
-    pub ops: Vec<NotifyOp>,
-    pub reason: YieldReason,
-}
-
-/// Message sent from the kernel to a process thread to resume it.
-#[derive(Debug)]
+/// Message that resumes a process thread.
 pub(crate) enum ResumeMsg {
-    /// Continue execution; `Wake` says what ended the previous wait.
-    Wake(Wake),
+    /// Continue execution, holding the kernel; `Wake` says what ended the
+    /// previous wait.
+    Wake(Wake, Box<Kernel>),
     /// The simulator is being torn down; unwind quietly.
     Shutdown,
 }
@@ -132,8 +131,9 @@ fn install_shutdown_hook() {
 ///
 /// A `ProcessContext` is handed to each process body and is the *only* way
 /// process code interacts with simulated time: reading the clock, waiting,
-/// and notifying events. All waits are cooperative — the underlying OS
-/// thread blocks until the kernel hands control back.
+/// and notifying events. All waits are cooperative — the process schedules
+/// on its own thread, and its thread blocks only when another thread
+/// process runs next or the run ends.
 ///
 /// # Examples
 ///
@@ -154,8 +154,11 @@ fn install_shutdown_hook() {
 /// ```
 pub struct ProcessContext {
     pid: ProcessId,
-    now_ps: Arc<AtomicU64>,
-    yield_tx: Sender<YieldMsg>,
+    /// The kernel, held from resume to yield: always `Some` while the body
+    /// runs.
+    kernel: Option<Box<Kernel>>,
+    /// Where the kernel goes when a run ends during this process's turn.
+    home_tx: Sender<Homecoming>,
     resume_rx: Receiver<ResumeMsg>,
     pending: Vec<NotifyOp>,
 }
@@ -164,7 +167,7 @@ impl fmt::Debug for ProcessContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProcessContext")
             .field("pid", &self.pid)
-            .field("now", &self.now())
+            .field("now", &self.kernel.as_ref().map(|k| k.now()))
             .field("pending_ops", &self.pending.len())
             .finish()
     }
@@ -173,11 +176,11 @@ impl fmt::Debug for ProcessContext {
 impl ProcessContext {
     /// Returns the current simulation time.
     ///
-    /// Time only advances while the kernel is in control, so within one
+    /// Time only advances while the scheduler runs, so within one
     /// uninterrupted run slice the value is stable.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_ps(self.now_ps.load(Ordering::Acquire))
+        self.kernel.as_ref().expect(RUNNING).now()
     }
 
     /// Returns this process's id.
@@ -307,34 +310,52 @@ impl ProcessContext {
         self.suspend(request.into())
     }
 
-    /// Hands control to the kernel and blocks until resumed.
+    /// Yields with `reason` and returns what ended the wait: at once if
+    /// the scheduler picks this process again, else once the kernel comes
+    /// back to this thread.
     fn suspend(&mut self, reason: YieldReason) -> Wake {
-        let msg = YieldMsg {
-            pid: self.pid,
-            ops: std::mem::take(&mut self.pending),
-            reason,
-        };
-        if self.yield_tx.send(msg).is_err() {
-            // Kernel is gone: tear this thread down quietly.
-            panic::panic_any(ShutdownToken);
+        if let Some(wake) = self.end_turn(reason) {
+            return wake;
         }
         match self.resume_rx.recv() {
-            Ok(ResumeMsg::Wake(wake)) => wake,
+            Ok(ResumeMsg::Wake(wake, kernel)) => {
+                self.kernel = Some(kernel);
+                wake
+            }
+            // The kernel is gone: tear this thread down quietly.
             Ok(ResumeMsg::Shutdown) | Err(_) => panic::panic_any(ShutdownToken),
         }
     }
+
+    /// Ends this process's turn on its own thread: applies the yield to
+    /// the kernel it holds and schedules on. Returns the wake if the
+    /// scheduler picked this process again, which keeps the kernel;
+    /// otherwise the kernel has been passed on. A panic while scheduling
+    /// is caught here and travels home with the kernel.
+    fn end_turn(&mut self, reason: YieldReason) -> Option<Wake> {
+        let mut kernel = self.kernel.take().expect(RUNNING);
+        let (pid, ops) = (self.pid, &mut self.pending);
+        let step = panic::catch_unwind(AssertUnwindSafe(|| kernel.yield_turn(pid, ops, reason)));
+        let (wake, kernel) = kernel.pass(step, Some(pid), &self.home_tx)?;
+        self.kernel = Some(kernel);
+        Some(wake)
+    }
 }
+
+const RUNNING: &str = "a running process holds the kernel";
 
 /// A segment-process body: a state machine the scheduler calls inline.
 pub(crate) type SegBody =
     Box<dyn FnMut(&mut crate::segment::SegmentCtx<'_>) -> crate::segment::SegStep + Send + 'static>;
 
-/// How one process is executed: the coroutine-style thread handoff, or a
-/// run-to-completion state machine dispatched inside the scheduler loop.
+/// How one process is executed: an OS thread the kernel is passed to, or
+/// a run-to-completion state machine dispatched inside the scheduler loop.
 pub(crate) enum ProcBackend {
-    /// An OS thread under the one-runner channel handoff.
+    /// An OS thread under the one-runner baton protocol (see the module
+    /// docs): resuming it moves the kernel to its thread, where it
+    /// schedules on when it yields, so resuming itself costs no OS switch.
     Thread {
-        /// Kernel-to-process resume channel.
+        /// Resume channel; each resume carries the kernel.
         resume_tx: Sender<ResumeMsg>,
         /// Join handle, taken at teardown.
         join: Option<JoinHandle<()>>,
@@ -365,7 +386,8 @@ pub(crate) enum ProcState {
     Runnable,
     /// Blocked in one of the `wait_*` calls.
     Waiting,
-    /// Body returned (or panicked); the OS thread has exited.
+    /// Body returned (or panicked); the OS thread exits once it has
+    /// passed the kernel on.
     Dead,
 }
 
@@ -404,12 +426,11 @@ pub(crate) fn describe_panic_payload(payload: &(dyn std::any::Any + Send)) -> St
 
 /// Spawns the OS thread backing one simulation process.
 ///
-/// The returned handle is parked until the kernel sends the first resume.
+/// The returned handle is parked until the first resume brings the kernel.
 pub(crate) fn spawn_process<F>(
     pid: ProcessId,
     name: &str,
-    now_ps: Arc<AtomicU64>,
-    yield_tx: Sender<YieldMsg>,
+    home_tx: Sender<Homecoming>,
     resume_rx: Receiver<ResumeMsg>,
     body: F,
 ) -> JoinHandle<()>
@@ -418,20 +439,19 @@ where
 {
     install_shutdown_hook();
     let thread_name = format!("rtsim:{name}");
-    let yield_tx_outer = yield_tx.clone();
     std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
             let mut ctx = ProcessContext {
                 pid,
-                now_ps,
-                yield_tx,
+                kernel: None,
+                home_tx,
                 resume_rx,
                 pending: Vec::new(),
             };
             // Wait for the kernel to start us.
             match ctx.resume_rx.recv() {
-                Ok(ResumeMsg::Wake(_)) => {}
+                Ok(ResumeMsg::Wake(_, kernel)) => ctx.kernel = Some(kernel),
                 Ok(ResumeMsg::Shutdown) | Err(_) => return,
             }
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
@@ -444,11 +464,10 @@ where
                     YieldReason::Panicked(describe_panic_payload(payload.as_ref()))
                 }
             };
-            let _ = yield_tx_outer.send(YieldMsg {
-                pid,
-                ops: std::mem::take(&mut ctx.pending),
-                reason,
-            });
+            // The last turn: nothing resumes a finished process, so the
+            // kernel always moves on.
+            let resumed = ctx.end_turn(reason);
+            debug_assert!(resumed.is_none(), "a finished process was resumed");
         })
         .expect("failed to spawn simulation process thread")
 }

@@ -14,21 +14,28 @@
 //! Determinism: runnable processes resume in FIFO wake order, waiters wake
 //! in registration order, and simultaneous timers fire in posting order, so
 //! a given model always produces the identical schedule.
+//!
+//! The loop ([`Kernel::advance`]) runs on whichever thread holds the
+//! kernel. Segment processes are dispatched inline; a thread process
+//! stops the loop, and the kernel is passed to its thread (or kept, when
+//! the yielding process picked itself) — see [`crate::process`]. A
+//! dispatch into a thread process costs at most one OS handoff, and none
+//! when the process resumes itself; it never costs the two of a round
+//! trip through a scheduler thread.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePolicy};
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{
     describe_panic_payload, spawn_process, NotifyOp, ProcBackend, ProcHandle, ProcState,
-    ProcessContext, ProcessId, ResumeMsg, YieldMsg, YieldReason,
+    ProcessContext, ProcessId, ResumeMsg, SegBody, YieldReason,
 };
 use crate::segment::{SegStep, SegmentCtx};
-use crate::sync::{unbounded, Receiver, Sender};
+use crate::sync::{unbounded, SendError, Sender};
 use crate::time::SimTime;
 
 /// Default bound on consecutive delta cycles at one instant before the
@@ -81,8 +88,29 @@ pub struct KernelStats {
     pub event_wakes: u64,
 }
 
+/// Where [`Kernel::advance`] stopped.
+pub(crate) enum Next {
+    /// Thread process `pid` is next and resumes with `wake`; `resume_tx`
+    /// reaches its thread.
+    Thread {
+        pid: ProcessId,
+        wake: Wake,
+        resume_tx: Sender<ResumeMsg>,
+    },
+    /// The run is over: the model starved, or its next activity lies past
+    /// the run's limit.
+    Finished,
+}
+
+/// How a run ended: the kernel's verdict, or the payload of a panic raised
+/// while scheduling, to be re-raised on the caller's thread.
+pub(crate) type RunOutcome = std::thread::Result<Result<(), KernelError>>;
+
+/// What a process thread sends home when a run ends during its turn.
+pub(crate) type Homecoming = (Box<Kernel>, RunOutcome);
+
 pub(crate) struct Kernel {
-    now_ps: Arc<AtomicU64>,
+    now: SimTime,
     procs: Vec<ProcHandle>,
     events: Vec<EventEntry>,
     runnable: VecDeque<(ProcessId, Wake)>,
@@ -94,21 +122,25 @@ pub(crate) struct Kernel {
     /// Same-instant ripe timer set, reused across timed phases.
     ripe_buf: Vec<TimedEntry>,
     stamp: u64,
-    yield_tx: Sender<YieldMsg>,
-    yield_rx: Receiver<YieldMsg>,
     alive: usize,
     max_deltas: u64,
+    /// The current run's time limit (`None`: run to starvation).
+    limit: Option<SimTime>,
+    /// Consecutive delta cycles at the current instant.
+    deltas_at_instant: u64,
     /// Pluggable tie-break (see [`crate::choice`]); `None` keeps the
     /// built-in stable order on the original fast path.
     choice: Option<Box<dyn ChoicePolicy>>,
     pub stats: KernelStats,
+    /// Times the kernel crossed to another thread. Host-side cost only, so
+    /// it stays out of [`KernelStats`], which both exec modes must match.
+    pub handoffs: u64,
 }
 
 impl Kernel {
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = unbounded();
         Kernel {
-            now_ps: Arc::new(AtomicU64::new(0)),
+            now: SimTime::ZERO,
             procs: Vec::new(),
             events: Vec::new(),
             runnable: VecDeque::new(),
@@ -117,12 +149,13 @@ impl Kernel {
             ops_buf: Vec::new(),
             ripe_buf: Vec::new(),
             stamp: 0,
-            yield_tx,
-            yield_rx,
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
+            limit: None,
+            deltas_at_instant: 0,
             choice: None,
             stats: KernelStats::default(),
+            handoffs: 0,
         }
     }
 
@@ -186,11 +219,7 @@ impl Kernel {
 
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_ps(self.now_ps.load(Ordering::Acquire))
-    }
-
-    fn set_now(&mut self, t: SimTime) {
-        self.now_ps.store(t.as_ps(), Ordering::Release);
+        self.now
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -224,20 +253,15 @@ impl Kernel {
         &self.procs[pid.index()].name
     }
 
-    pub fn spawn<F>(&mut self, name: &str, body: F) -> ProcessId
+    /// Spawns a thread-backed process; a run that ends during its turn
+    /// sends the kernel back on `home`.
+    pub fn spawn<F>(&mut self, name: &str, home: &Sender<Homecoming>, body: F) -> ProcessId
     where
         F: FnOnce(&mut ProcessContext) + Send + 'static,
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
         let (resume_tx, resume_rx) = unbounded::<ResumeMsg>();
-        let join = spawn_process(
-            pid,
-            name,
-            Arc::clone(&self.now_ps),
-            self.yield_tx.clone(),
-            resume_rx,
-            body,
-        );
+        let join = spawn_process(pid, name, home.clone(), resume_rx, body);
         self.procs.push(ProcHandle {
             name: name.to_owned(),
             backend: ProcBackend::Thread {
@@ -359,10 +383,9 @@ impl Kernel {
         self.runnable.push_back((pid, wake));
     }
 
-    /// Applies a yield's buffered notifications in program order, then
-    /// keeps the drained buffer for the next segment dispatch (a thread's
-    /// buffer replaces it only when it is larger).
-    fn apply_ops(&mut self, mut ops: Vec<NotifyOp>) {
+    /// Applies a yield's buffered notifications in program order, draining
+    /// `ops` in place so the buffer keeps its capacity.
+    fn apply_ops(&mut self, ops: &mut Vec<NotifyOp>) {
         for op in ops.drain(..) {
             match op {
                 NotifyOp::Immediate(e) => {
@@ -389,9 +412,6 @@ impl Kernel {
                     self.events[e.index()].pending = Pending::None;
                 }
             }
-        }
-        if ops.capacity() > self.ops_buf.capacity() {
-            self.ops_buf = ops;
         }
     }
 
@@ -469,60 +489,115 @@ impl Kernel {
         }
     }
 
-    /// Runs `pid` for one slice and returns its yield.
-    ///
-    /// Thread backend: channel handoff to the process thread (one resume
-    /// send, one yield recv — two OS context switches). Segment backend:
-    /// a direct call to the state machine on the kernel's own thread.
-    /// Either way the returned [`YieldMsg`] is applied identically, which
-    /// is what makes the two modes produce the same schedule.
-    fn dispatch(&mut self, pid: ProcessId, wake: Wake) -> YieldMsg {
-        match &mut self.procs[pid.index()].backend {
-            ProcBackend::Thread { resume_tx, .. } => {
-                resume_tx
-                    .send(ResumeMsg::Wake(wake))
-                    .expect("process thread vanished");
-                self.yield_rx
-                    .recv()
-                    .expect("process thread hung up without yielding")
+    /// Runs segment process `pid` for one slice — a direct call to its
+    /// state machine on the kernel's current thread — and applies its
+    /// yield exactly as a thread process's yield is applied, which is what
+    /// makes the two backends produce the same schedule.
+    fn run_segment(
+        &mut self,
+        pid: ProcessId,
+        wake: Wake,
+        mut machine: SegBody,
+    ) -> Result<(), KernelError> {
+        let now = self.now();
+        let mut ops = std::mem::take(&mut self.ops_buf);
+        debug_assert!(ops.is_empty());
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ctx = SegmentCtx {
+                pid,
+                now,
+                wake,
+                ops: &mut ops,
+            };
+            machine(&mut ctx)
+        }));
+        let reason = match step {
+            Ok(SegStep::Yield(req)) => {
+                // Not done: park the state machine for the next wake.
+                if let ProcBackend::Segment { body } = &mut self.procs[pid.index()].backend {
+                    *body = Some(machine);
+                }
+                req.into()
             }
-            ProcBackend::Segment { body } => {
-                let mut machine = body.take().expect("segment process re-entered");
-                let now = self.now();
-                let mut ops = std::mem::take(&mut self.ops_buf);
-                debug_assert!(ops.is_empty());
-                let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = SegmentCtx {
-                        pid,
-                        now,
-                        wake,
-                        ops: &mut ops,
-                    };
-                    machine(&mut ctx)
-                }));
-                let reason = match step {
-                    Ok(SegStep::Yield(req)) => {
-                        // Not done: park the state machine for the next wake.
-                        if let ProcBackend::Segment { body } =
-                            &mut self.procs[pid.index()].backend
-                        {
-                            *body = Some(machine);
-                        }
-                        req.into()
-                    }
-                    Ok(SegStep::Done) => YieldReason::Terminated,
-                    Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
-                };
-                YieldMsg { pid, ops, reason }
-            }
-        }
+            Ok(SegStep::Done) => YieldReason::Terminated,
+            Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
+        };
+        self.apply_ops(&mut ops);
+        self.ops_buf = ops;
+        self.apply_reason(pid, reason)
     }
 
-    /// Runs until event starvation or (if given) until simulated time
-    /// would pass `limit`. Events scheduled exactly at `limit` are
+    /// Starts a run that stops once simulated time would pass `limit`
+    /// (`None`: at starvation). Events scheduled exactly at `limit` are
     /// processed.
-    pub fn run(&mut self, limit: Option<SimTime>) -> Result<(), KernelError> {
-        let mut deltas_at_instant: u64 = 0;
+    pub fn begin_run(&mut self, limit: Option<SimTime>) {
+        self.limit = limit;
+        self.deltas_at_instant = 0;
+    }
+
+    /// Ends thread process `pid`'s turn on its own thread: applies its
+    /// buffered notifications (draining `ops`) and its wait, then
+    /// schedules on.
+    pub fn yield_turn(
+        &mut self,
+        pid: ProcessId,
+        ops: &mut Vec<NotifyOp>,
+        reason: YieldReason,
+    ) -> Result<Next, KernelError> {
+        self.apply_ops(ops);
+        self.apply_reason(pid, reason)?;
+        self.advance()
+    }
+
+    /// Ends the holder's turn by passing the kernel on as `step` says: to
+    /// the next thread process, or home with the run's outcome. When the
+    /// next process is `me` the kernel comes back instead, with the wake
+    /// to resume on, and no thread switch happens.
+    ///
+    /// Never panics and never drops the kernel: it may run on a process
+    /// thread, and dropping the kernel there would join that very thread.
+    /// Anything that goes wrong travels home to be raised on the caller.
+    pub fn pass(
+        mut self: Box<Self>,
+        step: std::thread::Result<Result<Next, KernelError>>,
+        me: Option<ProcessId>,
+        home: &Sender<Homecoming>,
+    ) -> Option<(Wake, Box<Kernel>)> {
+        let outcome = match step {
+            Ok(Ok(Next::Thread { pid, wake, .. })) if Some(pid) == me => return Some((wake, self)),
+            Ok(Ok(Next::Thread {
+                wake, resume_tx, ..
+            })) => {
+                self.handoffs += 1;
+                match resume_tx.send(ResumeMsg::Wake(wake, self)) {
+                    Err(SendError(ResumeMsg::Wake(_, kernel))) => {
+                        self = kernel;
+                        let lost: Box<dyn Any + Send> = Box::new("process thread vanished");
+                        Err(lost)
+                    }
+                    _ => return None,
+                }
+            }
+            Ok(Ok(Next::Finished)) => Ok(Ok(())),
+            Ok(Err(error)) => Ok(Err(error)),
+            Err(payload) => Err(payload),
+        };
+        self.handoffs += 1;
+        if let Err(SendError(stranded)) = home.send((self, outcome)) {
+            // Unreachable while the caller waits in its run; should home
+            // be gone anyway, leak the kernel rather than join this thread.
+            std::mem::forget(stranded);
+        }
+        None
+    }
+
+    /// The scheduler loop, resumable: runs the phases below until a thread
+    /// process is next or the run is over. Segment processes are
+    /// dispatched inline. Whichever thread holds the kernel runs it — the
+    /// caller's at the start of a run, then each yielding thread process's
+    /// own — so the loop and its decisions are the same on every host
+    /// thread.
+    pub fn advance(&mut self) -> Result<Next, KernelError> {
         loop {
             // -- evaluation phase ------------------------------------------
             loop {
@@ -542,17 +617,26 @@ impl Kernel {
                 };
                 debug_assert_eq!(self.procs[pid.index()].state, ProcState::Runnable);
                 self.stats.process_switches += 1;
-                let msg = self.dispatch(pid, wake);
-                debug_assert_eq!(msg.pid, pid, "yield from a process that was not running");
-                self.apply_ops(msg.ops);
-                self.apply_reason(msg.pid, msg.reason)?;
+                match &mut self.procs[pid.index()].backend {
+                    ProcBackend::Thread { resume_tx, .. } => {
+                        let resume_tx = resume_tx.clone();
+                        return Ok(Next::Thread {
+                            pid,
+                            wake,
+                            resume_tx,
+                        });
+                    }
+                    ProcBackend::Segment { body } => {
+                        let machine = body.take().expect("segment process re-entered");
+                        self.run_segment(pid, wake, machine)?;
+                    }
+                }
             }
-
             // -- delta phase -----------------------------------------------
             if !self.delta_events.is_empty() {
-                deltas_at_instant += 1;
+                self.deltas_at_instant += 1;
                 self.stats.delta_cycles += 1;
-                if deltas_at_instant > self.max_deltas {
+                if self.deltas_at_instant > self.max_deltas {
                     return Err(KernelError::DeltaCycleOverflow {
                         at: self.now(),
                         limit: self.max_deltas,
@@ -591,23 +675,23 @@ impl Kernel {
             // -- timed phase -----------------------------------------------
             let Some(t) = self.next_timer_time() else {
                 // Event starvation: nothing left to do.
-                if let Some(end) = limit {
+                if let Some(end) = self.limit {
                     if end > self.now() {
-                        self.set_now(end);
+                        self.now = end;
                     }
                 }
-                return Ok(());
+                return Ok(Next::Finished);
             };
-            if let Some(end) = limit {
+            if let Some(end) = self.limit {
                 if t > end {
-                    self.set_now(end);
-                    return Ok(());
+                    self.now = end;
+                    return Ok(Next::Finished);
                 }
             }
             if t > self.now() {
-                self.set_now(t);
+                self.now = t;
                 self.stats.time_advances += 1;
-                deltas_at_instant = 0;
+                self.deltas_at_instant = 0;
             }
             // Collect the whole same-instant ripe set up front (satellite
             // of the choice hook: the set is a stable slice, not an eager

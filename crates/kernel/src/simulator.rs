@@ -1,10 +1,13 @@
 //! The public simulator front-end.
 
+use std::panic::{self, AssertUnwindSafe};
+
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{ProcessContext, ProcessId};
-use crate::scheduler::{Kernel, KernelStats};
+use crate::scheduler::{Homecoming, Kernel, KernelStats, Next};
 use crate::segment::{ExecMode, SegStep, SegmentCtx};
+use crate::sync::{unbounded, Receiver, Sender};
 use crate::time::SimTime;
 
 /// A discrete-event simulator: the SystemC-engine stand-in that everything
@@ -44,9 +47,16 @@ use crate::time::SimTime;
 /// # }
 /// ```
 pub struct Simulator {
-    kernel: Kernel,
+    /// The kernel, home between runs. A run that reaches a thread process
+    /// passes it from thread to thread (see [`crate::process`]) until the
+    /// run ends, and it comes back on `home_rx` before `run` returns.
+    kernel: Option<Box<Kernel>>,
+    home_tx: Sender<Homecoming>,
+    home_rx: Receiver<Homecoming>,
     mode: ExecMode,
 }
+
+const HOME: &str = "the kernel is home between runs";
 
 impl Simulator {
     /// Creates an empty simulator at time zero, with the execution mode
@@ -65,15 +75,50 @@ impl Simulator {
     /// ignoring the environment. Tests that compare the two modes use
     /// this to stay immune to env races.
     pub fn with_mode(mode: ExecMode) -> Self {
+        let (home_tx, home_rx) = unbounded();
         Simulator {
-            kernel: Kernel::new(),
+            kernel: Some(Box::new(Kernel::new())),
+            home_tx,
+            home_rx,
             mode,
         }
     }
 
+    fn kernel(&self) -> &Kernel {
+        self.kernel.as_deref().expect(HOME)
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        self.kernel.as_deref_mut().expect(HOME)
+    }
+
+    /// Runs the scheduler from this thread until the run ends, wherever it
+    /// ends. The loop runs here until a thread process is next; that
+    /// process then gets the kernel, and the run goes on from thread to
+    /// thread until one of them sends the kernel home with the outcome.
+    /// A panic while scheduling is re-raised here, with the kernel home.
+    fn run_to(&mut self, limit: Option<SimTime>) -> Result<(), KernelError> {
+        let mut kernel = self.kernel.take().expect(HOME);
+        kernel.begin_run(limit);
+        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| kernel.advance())) {
+            Ok(Ok(Next::Finished)) => Ok(Ok(())),
+            Ok(Err(error)) => Ok(Err(error)),
+            Err(payload) => Err(payload),
+            step => {
+                let resumed = kernel.pass(step, None, &self.home_tx);
+                debug_assert!(resumed.is_none(), "the caller is not a process");
+                let (back, outcome) = self.home_rx.recv().expect("the simulator keeps a sender");
+                kernel = back;
+                outcome
+            }
+        };
+        self.kernel = Some(kernel);
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
     /// Creates a named event. See [`Event`] for notification semantics.
     pub fn event(&mut self, name: &str) -> Event {
-        self.kernel.create_event(name)
+        self.kernel_mut().create_event(name)
     }
 
     /// Spawns a simulation process. The body starts executing (at the
@@ -85,7 +130,8 @@ impl Simulator {
     where
         F: FnOnce(&mut ProcessContext) + Send + 'static,
     {
-        self.kernel.spawn(name, body)
+        let kernel = self.kernel.as_deref_mut().expect(HOME);
+        kernel.spawn(name, &self.home_tx, body)
     }
 
     /// Spawns a process whose body is a segment state machine.
@@ -104,8 +150,8 @@ impl Simulator {
         F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Send + 'static,
     {
         match self.mode {
-            ExecMode::Segment => self.kernel.spawn_segment(name, body),
-            ExecMode::Thread => self.kernel.spawn(name, move |ctx| {
+            ExecMode::Segment => self.kernel_mut().spawn_segment(name, body),
+            ExecMode::Thread => self.spawn(name, move |ctx| {
                 let mut wake = Wake::Timeout;
                 while let SegStep::Yield(request) = body(&mut ctx.segment(wake)) {
                     wake = ctx.wait(request);
@@ -122,7 +168,7 @@ impl Simulator {
     /// Returns [`KernelError::ProcessPanicked`] if a process body panics
     /// and [`KernelError::DeltaCycleOverflow`] on a zero-time livelock.
     pub fn run(&mut self) -> Result<(), KernelError> {
-        self.kernel.run(None)
+        self.run_to(None)
     }
 
     /// Runs until event starvation or until simulated time would pass
@@ -134,7 +180,7 @@ impl Simulator {
     ///
     /// Same as [`run`](Simulator::run).
     pub fn run_until(&mut self, until: SimTime) -> Result<(), KernelError> {
-        self.kernel.run(Some(until))
+        self.run_to(Some(until))
     }
 
     /// Runs for `span` of simulated time from the current instant
@@ -150,13 +196,13 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.kernel.now()
+        self.kernel().now()
     }
 
     /// Immediately notifies `event` from testbench context (outside any
     /// process). Takes effect in the next evaluation phase.
     pub fn notify(&mut self, event: Event) {
-        self.kernel.notify_external(event);
+        self.kernel_mut().notify_external(event);
     }
 
     /// Schedules a notification of `event` at absolute simulated time
@@ -166,32 +212,32 @@ impl Simulator {
     ///
     /// Panics if `at` is before [`now`](Simulator::now).
     pub fn notify_at(&mut self, event: Event, at: SimTime) {
-        self.kernel.notify_at(event, at);
+        self.kernel_mut().notify_at(event, at);
     }
 
     /// The name given to `event` at creation.
     pub fn event_name(&self, event: Event) -> &str {
-        self.kernel.event_name(event)
+        self.kernel().event_name(event)
     }
 
     /// The name given to `pid` at spawn.
     pub fn process_name(&self, pid: ProcessId) -> &str {
-        self.kernel.process_name(pid)
+        self.kernel().process_name(pid)
     }
 
     /// Number of events created so far.
     pub fn event_count(&self) -> usize {
-        self.kernel.event_count()
+        self.kernel().event_count()
     }
 
     /// Number of processes spawned so far (dead or alive).
     pub fn process_count(&self) -> usize {
-        self.kernel.process_count()
+        self.kernel().process_count()
     }
 
     /// Number of processes that have not yet terminated.
     pub fn alive_processes(&self) -> usize {
-        self.kernel.alive_processes()
+        self.kernel().alive_processes()
     }
 
     /// Cumulative kernel statistics (process switches, delta cycles...).
@@ -201,12 +247,12 @@ impl Simulator {
     /// RTOS model schedules without a dedicated RTOS process and therefore
     /// performs markedly fewer switches per scheduling action.
     pub fn stats(&self) -> KernelStats {
-        self.kernel.stats
+        self.kernel().stats
     }
 
     /// Overrides the delta-cycle livelock bound (default one million).
     pub fn set_max_delta_cycles(&mut self, limit: u64) {
-        self.kernel.set_max_deltas(limit);
+        self.kernel_mut().set_max_deltas(limit);
     }
 
     /// The time of the next pending activity, or `None` if the simulation
@@ -214,7 +260,7 @@ impl Simulator {
     /// engine: advance the partner to `next_activity()`, exchange events,
     /// `run_until` that instant, repeat.
     pub fn next_activity(&mut self) -> Option<SimTime> {
-        self.kernel.next_activity()
+        self.kernel_mut().next_activity()
     }
 
     /// Installs (or with `None`, removes) a pluggable scheduler tie-break.
@@ -224,7 +270,7 @@ impl Simulator {
     /// delta notifications, same-instant ripe timers — is presented to the
     /// policy instead of being resolved by the built-in stable order.
     pub fn set_choice_policy(&mut self, policy: Option<Box<dyn crate::choice::ChoicePolicy>>) {
-        self.kernel.set_choice_policy(policy);
+        self.kernel_mut().set_choice_policy(policy);
     }
 
     /// The set of timer entries that would fire at the next timed instant,
@@ -232,7 +278,7 @@ impl Simulator {
     /// wheel's same-timestamp ready set exposed as a slice rather than
     /// observed through eager pops. `None` when no valid timer is pending.
     pub fn ripe_timers(&mut self) -> Option<(SimTime, Vec<crate::choice::Candidate>)> {
-        self.kernel.ripe_timers()
+        self.kernel_mut().ripe_timers()
     }
 }
 
@@ -251,6 +297,72 @@ impl std::fmt::Debug for Simulator {
             .field("alive", &self.alive_processes())
             .field("events", &self.event_count())
             .field("stats", &self.stats())
+            .field("handoffs", &self.kernel().handoffs)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::SimDuration;
+
+    /// A process that keeps picking itself keeps the kernel: 1,000 waits
+    /// in one run cross threads only to start the run and to end it.
+    #[test]
+    fn self_resumes_cost_no_handoff() {
+        let mut sim = Simulator::with_mode(ExecMode::Thread);
+        sim.spawn("lone", |ctx| {
+            for _ in 0..1_000 {
+                ctx.wait_for(SimDuration::from_ns(1));
+            }
+        });
+        sim.run().unwrap();
+        assert_eq!(sim.stats().process_switches, 1_001);
+        assert_eq!(sim.kernel().handoffs, 2);
+    }
+
+    /// Two thread processes that alternate pay one handoff per switch,
+    /// plus the two at the run's edges.
+    #[test]
+    fn ping_pong_costs_one_handoff_per_switch() {
+        const ROUNDS: usize = 100;
+        let mut sim = Simulator::with_mode(ExecMode::Thread);
+        let ping = sim.event("ping");
+        let pong = sim.event("pong");
+        sim.spawn("b", move |ctx| {
+            for _ in 0..ROUNDS {
+                ctx.wait_event(ping);
+                ctx.notify(pong);
+            }
+        });
+        sim.spawn("a", move |ctx| {
+            for _ in 0..ROUNDS {
+                ctx.notify(ping);
+                ctx.wait_event(pong);
+            }
+        });
+        sim.run().unwrap();
+        let switches = sim.stats().process_switches;
+        assert_eq!(switches, 2 * ROUNDS as u64 + 2);
+        assert_eq!(sim.kernel().handoffs, (switches - 1) + 2);
+    }
+
+    /// Segment processes never leave the caller's thread.
+    #[test]
+    fn segment_runs_make_no_handoff() {
+        let mut sim = Simulator::with_mode(ExecMode::Segment);
+        let mut left = 1_000;
+        sim.spawn_segment("lone", move |_ctx| {
+            left -= 1;
+            if left == 0 {
+                SegStep::Done
+            } else {
+                SegStep::Yield(crate::segment::WaitRequest::time(SimDuration::from_ns(1)))
+            }
+        });
+        sim.run().unwrap();
+        assert_eq!(sim.stats().process_switches, 1_000);
+        assert_eq!(sim.kernel().handoffs, 0);
     }
 }

@@ -9,10 +9,13 @@
 //!   is an *expected* event (the scheduler converts it into
 //!   `KernelError::ProcessPanicked`), so a poisoned lock must not cascade
 //!   the failure into unrelated processes or tests.
-//! - [`unbounded`] — the `SyncChannel` handoff pair used for the
-//!   one-runner coroutine protocol between the kernel and its process
-//!   threads (the paper's Approach-A thread model), backed by
-//!   [`std::sync::mpsc`].
+//! - [`unbounded`] — the `SyncChannel` that carries the kernel baton in
+//!   the one-runner coroutine protocol (the paper's Approach-A thread
+//!   model), backed by [`std::sync::mpsc`]. The kernel is owned by one
+//!   thread at a time: home between runs, the running process's thread
+//!   during a run. A resume channel moves it to the process that runs
+//!   next, a home channel brings it back when a run ends, and a process
+//!   that resumes itself sends nothing, so it pays no OS switch.
 //!
 //! [`lock`]: Mutex::lock
 
@@ -123,7 +126,8 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
-/// Creates an unbounded FIFO channel (the `SyncChannel` handoff pair).
+/// Creates an unbounded FIFO channel (the `SyncChannel` that passes the
+/// kernel baton between threads).
 ///
 /// API-compatible with the subset of `crossbeam::channel::unbounded` the
 /// kernel uses: cloneable sender, blocking `recv`, disconnection reported

@@ -68,20 +68,19 @@ echo "== hermetic check: benchmark build + tests =="
 # it. Its tests cover its arithmetic and smoke-sized workload runs.
 cargo test --release --offline --manifest-path "$repo/perfbench/Cargo.toml"
 
-echo "== hermetic check: regression farm goldens (smoke subset, both exec modes) =="
+echo "== hermetic check: regression farm goldens (full matrix, both exec modes) =="
 # The release build above already produced the farm binary; sweep the
-# smoke matrix (which includes the dual-core smp_partitioned/smp_global
-# cells and two fault-injection cells, so the fault lanes are pinned in
-# both exec modes on every CI run) against tests/goldens/farm.jsonl so
-# behavioural drift is caught here too. Re-pin intentional changes with
-# `rtsim-farm --bless`. The sweep runs once per kernel execution mode:
-# the thread-backed and the run-to-completion (segment) kernels must
-# both reproduce the same pinned goldens — the cheap CI face of the
-# 224-cell equivalence oracle in crates/farm/tests/exec_mode_equiv.rs.
+# full 224-cell matrix (every scenario, policy, preemption mode and core
+# count, fault-injection cells included) against tests/goldens/farm.jsonl
+# so behavioural drift is caught here too. Re-pin intentional changes
+# with `rtsim-farm --bless`. The sweep runs once per kernel execution
+# mode: the thread-backed and the run-to-completion (segment) kernels
+# must both reproduce every pinned golden — the CI face of the 224-cell
+# equivalence oracle in crates/farm/tests/exec_mode_equiv.rs. Each sweep
+# takes well under a second in either mode.
 for exec_mode in thread segment; do
     echo "-- exec mode: $exec_mode --"
-    RTSIM_BENCH_SMOKE=1 RTSIM_EXEC_MODE="$exec_mode" \
-        "$repo/target/release/rtsim-farm" --check
+    RTSIM_EXEC_MODE="$exec_mode" "$repo/target/release/rtsim-farm" --check
 done
 
 echo "== hermetic check: grid cache round-trip (smoke subset) =="
