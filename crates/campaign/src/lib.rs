@@ -54,7 +54,7 @@ mod pool;
 mod stats;
 
 pub use artifacts::{
-    env_flag, env_u16, env_usize, scaled, smoke, write_artifact, write_artifact_in,
+    env_flag, env_usize, scaled, smoke, write_artifact, write_artifact_in,
     write_campaign_outputs,
 };
 pub use hash::Fnv1a;
@@ -62,4 +62,4 @@ pub use pool::{
     run_isolated, workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Progress,
     Report,
 };
-pub use stats::{nearest_rank_index, Histogram, StatSummary};
+pub use stats::{nearest_rank_index, StatSummary};

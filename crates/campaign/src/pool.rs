@@ -18,8 +18,6 @@ use std::time::{Duration, Instant};
 use rtsim_kernel::sync::{unbounded, Mutex};
 use rtsim_kernel::testutil::Rng;
 
-use crate::stats::StatSummary;
-
 /// Per-job execution context handed to the job closure.
 ///
 /// The embedded generator is forked from the campaign seed by job index,
@@ -126,8 +124,7 @@ type ProgressCallback = Box<dyn Fn(&Progress) + Send + Sync>;
 /// instead of unwinding into the caller.
 ///
 /// This is the per-job execution primitive [`Campaign::run`] wraps every
-/// job in, exported so long-running consumers of the pool discipline —
-/// the `rtsim-serve` workers executing one simulation per request — get
+/// job in, exported so callers that run a job outside a campaign get
 /// byte-identical failure reporting without re-rolling the
 /// `catch_unwind` dance.
 pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, JobPanic> {
@@ -490,11 +487,6 @@ impl<T> Report<T> {
             .map(|o| o.result.map_err(|p| (o.index, p)))
             .collect()
     }
-
-    /// Summary of per-job wall-clock times, in seconds.
-    pub fn job_wall_summary(&self) -> Option<StatSummary> {
-        StatSummary::from_values(self.outcomes.iter().map(|o| o.wall.as_secs_f64()))
-    }
 }
 
 #[cfg(test)]
@@ -576,7 +568,6 @@ mod tests {
         let report = Campaign::new("empty", 1).run(0, |_| 1u8);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.ok_count(), 0);
-        assert!(report.job_wall_summary().is_none());
     }
 
     #[test]
@@ -626,16 +617,5 @@ mod tests {
         // Outcome indices are global in the offset shard.
         assert_eq!(tail.outcomes[0].index, 6);
         assert_eq!(tail.outcomes[3].index, 9);
-    }
-
-    #[test]
-    fn job_wall_summary_counts_every_job() {
-        let report = Campaign::new("wall", 9).workers(2).run(8, |ctx| {
-            std::hint::black_box((0..1000u64).sum::<u64>());
-            ctx.index()
-        });
-        let summary = report.job_wall_summary().unwrap();
-        assert_eq!(summary.count, 8);
-        assert!(summary.max >= summary.min);
     }
 }

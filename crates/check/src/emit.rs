@@ -3,9 +3,9 @@
 //! The explored-state and replay counts of each scenario are emitted in
 //! the same JSONL schema the bench harnesses use, so
 //! `rtsim-bench-diff` gates coverage regressions exactly like perf
-//! regressions. Counts are encoded the way `rtsim-serve-flood` encodes
-//! its deterministic counters: one single-sample case whose picosecond
-//! fields carry `count * 1000` (a count dressed as nanoseconds).
+//! regressions. Each count is one single-sample case whose picosecond
+//! fields carry `count * 1000`: a count dressed as nanoseconds, so the
+//! diff tool's relative-change gate applies to it unchanged.
 //!
 //! This is hand-rolled rather than reusing `rtsim-bench`'s
 //! `BenchReport` because the bench crate depends on the `rtsim` facade,

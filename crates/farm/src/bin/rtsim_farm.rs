@@ -38,10 +38,11 @@ fn run(cells: Vec<rtsim_farm::Cell>) -> Vec<CellResult> {
     if cached {
         println!(
             "cache: {} hit(s), {} miss(es)",
-            sweep.hits, sweep.misses
+            sweep.hits(),
+            sweep.misses()
         );
     }
-    let results = sweep.results;
+    let results = sweep.records;
     write_campaign_outputs("farm", &render(&results), &render_csv(&results));
     results
 }
@@ -146,18 +147,24 @@ fn list() -> ExitCode {
 fn main() -> ExitCode {
     rtsim_kernel::ExecMode::from_env_or_exit();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    // At most one flag: `--check --bless` must not silently drop the
+    // bless, nor `--list junk` its junk.
+    match args[..] {
+        [] => {
             let cells = if smoke() { smoke_matrix() } else { full_matrix() };
             let results = run(cells);
             print_table(&results);
             ExitCode::SUCCESS
         }
-        Some("--check") => check(),
-        Some("--bless") => bless(),
-        Some("--list") => list(),
-        Some(other) => {
-            eprintln!("unknown argument `{other}`; usage: rtsim-farm [--check|--bless|--list]");
+        ["--check"] => check(),
+        ["--bless"] => bless(),
+        ["--list"] => list(),
+        _ => {
+            eprintln!(
+                "unexpected arguments `{}`; usage: rtsim-farm [--check|--bless|--list]",
+                args.join(" ")
+            );
             ExitCode::FAILURE
         }
     }

@@ -1,4 +1,4 @@
-//! The sharded-grid driver: the farm's 160-cell matrix as a
+//! The sharded-grid driver: the farm's 224-cell matrix as a
 //! campaign-of-campaigns with content-addressed result caching.
 //!
 //! ```text
@@ -25,9 +25,9 @@
 use std::process::ExitCode;
 
 use rtsim_campaign::{smoke, workers_from_env, write_artifact};
-use rtsim_farm::registry::{full_matrix, smoke_matrix, FARM_SEED};
+use rtsim_farm::registry::{full_matrix, run_matrix_sharded, smoke_matrix};
 use rtsim_farm::{render_csv, Cell, CellResult};
-use rtsim_grid::{shards_from_env, CacheStore, Grid, GridReport, CACHE_ENV};
+use rtsim_grid::{shards_from_env, CacheStore, GridReport, CACHE_ENV};
 
 fn matrix() -> Vec<Cell> {
     if smoke() {
@@ -35,21 +35,6 @@ fn matrix() -> Vec<Cell> {
     } else {
         full_matrix()
     }
-}
-
-fn run_grid(cells: &[Cell], shards: usize, cache: Option<CacheStore>) -> GridReport<CellResult> {
-    let mut grid = Grid::new("farm", FARM_SEED)
-        .workers(workers_from_env())
-        .shards(shards);
-    grid = match cache {
-        Some(store) => grid.cache(store),
-        None => grid.no_cache(),
-    };
-    grid.run(
-        cells.len(),
-        |index| cells[index].label(),
-        |ctx| rtsim_farm::registry::run_cell(cells[ctx.index()]),
-    )
 }
 
 fn print_summary(report: &GridReport<CellResult>, cached: bool) {
@@ -90,7 +75,7 @@ fn run(shards: usize, merge: bool) -> ExitCode {
     let cells = matrix();
     let cache = CacheStore::from_env();
     let cached = cache.is_some();
-    let report = run_grid(&cells, shards, cache);
+    let report = run_matrix_sharded(&cells, workers_from_env(), shards, cache);
     print_summary(&report, cached);
     if merge {
         for s in &report.shards {
@@ -127,10 +112,10 @@ fn check_cache(shards: usize) -> ExitCode {
         store.len(),
     );
     let preexisting = store.len();
-    let cold = run_grid(&cells, shards, Some(store.clone()));
+    let cold = run_matrix_sharded(&cells, workers_from_env(), shards, Some(store.clone()));
     print_summary(&cold, true);
     // A different shard count on the warm pass proves keys are global.
-    let warm = run_grid(&cells, shards + 1, Some(store.clone()));
+    let warm = run_matrix_sharded(&cells, workers_from_env(), shards + 1, Some(store.clone()));
     print_summary(&warm, true);
     if let Some(dir) = scratch {
         let _ = std::fs::remove_dir_all(&dir);

@@ -414,23 +414,13 @@ fn run_cell_inner(cell: Cell, mode: Option<ExecMode>) -> CellResult {
 /// cell results at once.
 pub const FARM_SEED: u64 = 0;
 
-/// A matrix sweep's results plus the grid's cache/shard accounting.
-#[derive(Debug, Clone)]
-pub struct MatrixRun {
-    /// Every cell's fingerprint, in cell order.
-    pub results: Vec<CellResult>,
-    /// Cells served from the `RTSIM_GRID_CACHE` store.
-    pub hits: usize,
-    /// Cells actually simulated.
-    pub misses: usize,
-    /// Shard count the sweep ran with.
-    pub shards: usize,
-}
-
 /// Runs a set of cells through the grid ([`rtsim_grid::Grid`]) with
 /// `workers` workers per shard and `shards` shards, caching per-cell
-/// results in `cache` (when given). Results come back in cell order and
-/// are bit-identical for any worker *and* shard count.
+/// results in `cache` (when given). This is the one place a farm sweep
+/// is set up: `rtsim-farm` and `rtsim-grid` both run the matrix through
+/// it. The report's records come back in cell order and are
+/// bit-identical for any worker *and* shard count; its shard rows carry
+/// the cache/shard accounting.
 ///
 /// The per-cell cache key is the grid formula over
 /// `(FARM_SEED, cell index, cell label)` — the label covers scenario,
@@ -445,7 +435,7 @@ pub fn run_matrix_sharded(
     workers: usize,
     shards: usize,
     cache: Option<rtsim_grid::CacheStore>,
-) -> MatrixRun {
+) -> rtsim_grid::GridReport<CellResult> {
     let mut grid = rtsim_grid::Grid::new("farm", FARM_SEED)
         .workers(workers)
         .shards(shards);
@@ -453,17 +443,11 @@ pub fn run_matrix_sharded(
         Some(store) => grid.cache(store),
         None => grid.no_cache(),
     };
-    let report = grid.run(
+    grid.run(
         cells.len(),
         |index| cells[index].label(),
         |ctx| run_cell(cells[ctx.index()]),
-    );
-    MatrixRun {
-        hits: report.hits(),
-        misses: report.misses(),
-        shards: report.shards.len(),
-        results: report.records,
-    }
+    )
 }
 
 /// Runs a set of cells on the deterministic pool: the historical farm
@@ -480,7 +464,7 @@ pub fn run_matrix(cells: &[Cell], workers: usize) -> Vec<CellResult> {
         rtsim_grid::shards_from_env(),
         rtsim_grid::CacheStore::from_env(),
     )
-    .results
+    .records
 }
 
 #[cfg(test)]

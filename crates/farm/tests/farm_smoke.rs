@@ -145,8 +145,26 @@ fn list_names_every_scenario_and_policy() {
 
 #[test]
 fn unknown_flag_is_rejected() {
-    let output = farm().arg("--frobnicate").output().unwrap();
-    assert!(!output.status.success());
+    // Point the binary at a scratch copy of the goldens, so a `--bless`
+    // that slipped through would rewrite the copy, not the committed file.
+    let dir = scratch_dir("args");
+    let goldens = dir.join("farm.jsonl");
+    std::fs::copy(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/farm.jsonl"),
+        &goldens,
+    )
+    .unwrap();
+    for args in [&["--frobnicate"][..], &["--check", "--bless"], &["--list", "junk"]] {
+        let output = farm()
+            .args(args)
+            .env("RTSIM_FARM_GOLDENS", &goldens)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: rtsim-farm"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
